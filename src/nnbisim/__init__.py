@@ -12,8 +12,8 @@ from .errors import (DegenerateLPError, MergePreconditionError, ParseError,
                      ResourceLimitError, ShapeError, UnsupportedShapeError)
 from .formats import (NNetMeta, eval_normalized, parse_json_net, parse_nnet,
                       parse_problem, write_json_net, write_nnet)
-from .interval import (SplitConfig, act_bounds, affine_bounds, reach_box,
-                       reach_box_split, split_box)
+from .interval import (BoxBatch, SplitConfig, act_bounds, affine_bounds,
+                       reach_box, reach_box_split, split_box)
 from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, lp_feasible, lp_max
 from .merge import difference_eval, merge
 from .network import (IDENTITY, RELU, Box, Layer, Network, random_network,

@@ -44,13 +44,13 @@ class ErrorBound:
 
 
 def bisim_error_upper(net_big, net_small, box, method=METHOD_INTERVAL,
-                      norm=LINF, splits=None, star_cap=DEFAULT_STAR_CAP,
-                      jobs=1):
+                      norm=LINF, splits=None, star_cap=DEFAULT_STAR_CAP):
     """Certified upper bound on sup_x ||big(x) - small(x)|| over the box.
 
     method:
       "interval"  one interval pass over the merged network (fast, loose)
-      "split"     interval pass per grid cell, `splits` cells per dimension
+      "split"     interval pass over all grid cells at once, `splits` cells
+                  per dimension
       "exact"     star-set reachability; exact in the max norm
     """
     check_norm(norm)
@@ -63,8 +63,7 @@ def bisim_error_upper(net_big, net_small, box, method=METHOD_INTERVAL,
         desc = "interval"
     elif method == METHOD_SPLIT:
         k = DEFAULT_SPLITS if splits is None else int(splits)
-        boxes = reach_box_split(merged, box, SplitConfig(k), jobs=jobs)
-        eps = max(sup_norm_box(b, norm) for b in boxes)
+        eps = sup_norm_box(reach_box_split(merged, box, SplitConfig(k)), norm)
         desc = f"interval-split({k})"
     else:
         stars = reach_stars(merged, box_to_star(box), star_cap=star_cap)
@@ -100,7 +99,7 @@ def bisim_error_lower_mc(net_big, net_small, box, samples, seed, norm=LINF,
 
 
 def check_assured(net_big, net_small, box, eps, method=METHOD_INTERVAL,
-                  norm=LINF, splits=None, star_cap=DEFAULT_STAR_CAP, jobs=1):
+                  norm=LINF, splits=None, star_cap=DEFAULT_STAR_CAP):
     """True when the certified error bound is at most eps.
 
     Sufficient condition: with a non-exact method a False answer says
@@ -109,6 +108,5 @@ def check_assured(net_big, net_small, box, eps, method=METHOD_INTERVAL,
     if eps < 0:
         raise ValueError("eps must be nonnegative")
     bound = bisim_error_upper(net_big, net_small, box, method=method,
-                              norm=norm, splits=splits, star_cap=star_cap,
-                              jobs=jobs)
+                              norm=norm, splits=splits, star_cap=star_cap)
     return bound.epsilon_upper <= eps

@@ -106,7 +106,7 @@ def cmd_bisim(args):
     method, splits, norm = _resolve(args, options)
     bound = bisim_error_upper(net_big, net_small, box, method=method,
                               norm=norm, splits=splits,
-                              star_cap=args.star_cap, jobs=args.jobs)
+                              star_cap=args.star_cap)
     print(f"epsilon_upper={bound.epsilon_upper:.6f}")
     if args.mc:
         lower = bisim_error_lower_mc(net_big, net_small, box, samples=args.mc,
@@ -123,7 +123,7 @@ def cmd_verify(args):
     method, splits, _norm = _resolve(args, options)
     t0 = perf_counter()
     verdict = verify(net, box, spec, method=method, splits=splits,
-                     star_cap=args.star_cap, seed=args.seed, jobs=args.jobs)
+                     star_cap=args.star_cap, seed=args.seed)
     print(f"verdict={verdict.status}")
     if verdict.witness is not None:
         print("witness=" + ",".join(f"{v:.17g}" for v in verdict.witness))
@@ -164,7 +164,7 @@ def cmd_report(args):
         reports.append(verify_via_compressed(
             net_big, net_small, box, spec, method=method, splits=splits,
             norm=norm, star_cap=args.star_cap, seed=args.seed,
-            network_id=pair_id, jobs=args.jobs, also_large=args.also_large,
+            network_id=pair_id, also_large=args.also_large,
             large_method=args.large_method,
             large_splits=args.large_splits))
     csv_text = report_csv(reports)
@@ -188,8 +188,6 @@ def _add_backend_flags(p, with_norm=False):
     p.add_argument("--seed", type=int, default=42, help="seed for sampling (default 42)")
     p.add_argument("--star-cap", type=int, default=DEFAULT_STAR_CAP,
                    help="abort exact reachability beyond this many stars")
-    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                   help="worker threads for per-cell/per-sample work")
 
 
 def build_parser():
@@ -215,6 +213,8 @@ def build_parser():
     p.add_argument("problem")
     p.add_argument("--mc", type=int, metavar="N",
                    help="also print a sampled lower bound from N points")
+    p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                   help="worker threads for the --mc sampler")
     _add_backend_flags(p, with_norm=True)
     p.set_defaults(func=cmd_bisim)
 

@@ -158,10 +158,11 @@ def parse_nnet(text):
             lineno, line = reader.next(f"bias {i} of layer {k}")
             b[i] = _numbers(line, lineno, float, expect=1,
                             what=f"bias (layer {k}, neuron {i})")[0]
-        if k == num_layers - 1:
-            layers.append(Layer.linear(W, b))
-        else:
-            layers.append(Layer.relu(W, b))
+        make = Layer.linear if k == num_layers - 1 else Layer.relu
+        try:
+            layers.append(make(W, b))
+        except ValueError as exc:
+            raise ParseError(f"{exc} (layer {k})", location=f"line {lineno}") from None
     if not reader.rest_is_blank():
         raise ParseError("unexpected trailing content",
                          location=f"line {reader.pos + 1}")
@@ -251,7 +252,10 @@ def parse_json_net(text):
                              location=f"{path}.activations")
         if b.shape[0] != W.shape[0] or len(acts) != W.shape[0]:
             raise ParseError("bias/activations length != weight rows", location=path)
-        layers.append(Layer(W, b, acts))
+        try:
+            layers.append(Layer(W, b, acts))
+        except ValueError as exc:
+            raise ParseError(str(exc), location=path) from None
     net = Network(input_dim, layers)
     problems = validate(net)
     if problems:
@@ -304,6 +308,8 @@ def parse_problem(text):
         box = Box(lower, upper)
     except ValueError as exc:
         raise ParseError(str(exc), location="input") from None
+    if not (np.isfinite(box.lower).all() and np.isfinite(box.upper).all()):
+        raise ParseError("box bounds must be finite", location="input")
 
     raw_unsafe = _require(obj, "unsafe", "problem")
     if not isinstance(raw_unsafe, list):

@@ -13,6 +13,14 @@ RELU = "relu"
 IDENTITY = "identity"
 
 
+def _require_finite(a, what):
+    if np.isfinite(a).all():
+        return
+    at = tuple(int(i) for i in np.argwhere(~np.isfinite(a))[0])
+    raise ValueError(f"{what} must be finite, found {a[at]} at index "
+                     f"{at[0] if len(at) == 1 else at}")
+
+
 def _freeze(a):
     a = np.array(a, dtype=float)
     a.flags.writeable = False
@@ -32,6 +40,8 @@ class Layer:
     def __init__(self, weights, bias, activations):
         self.weights = _freeze(np.atleast_2d(weights))
         self.bias = _freeze(np.atleast_1d(bias))
+        _require_finite(self.weights, "layer weights")
+        _require_finite(self.bias, "layer bias")
         acts = tuple(activations)
         for a in acts:
             if a not in (RELU, IDENTITY):
@@ -40,6 +50,14 @@ class Layer:
         mask = np.array([a == RELU for a in acts], dtype=bool)
         mask.flags.writeable = False
         self.relu_mask = mask
+        # Per-neuron floor for activate_inplace: 0 clips a ReLU, -inf
+        # leaves an identity neuron alone; None when no neuron is ReLU.
+        if mask.all():
+            self._floor = 0.0
+        elif mask.any():
+            self._floor = _freeze(np.where(mask, 0.0, -np.inf))
+        else:
+            self._floor = None
 
     @classmethod
     def relu(cls, weights, bias):
@@ -62,6 +80,11 @@ class Layer:
     def apply(self, x):
         z = self.weights @ x + self.bias
         return np.where(self.relu_mask, np.maximum(z, 0.0), z)
+
+    def activate_inplace(self, Z):
+        """Apply the activations to a (n, rows) pre-activation array in place."""
+        if self._floor is not None:
+            np.maximum(Z, self._floor, out=Z)
 
 
 class Network:
@@ -103,8 +126,9 @@ class Network:
             raise ShapeError(
                 f"batch has shape {X.shape}, expected (n, {self.input_dim})")
         for lay in self.layers:
-            Z = X @ lay.weights.T + lay.bias
-            X = np.where(lay.relu_mask, np.maximum(Z, 0.0), Z)
+            X = X @ lay.weights.T
+            X += lay.bias
+            lay.activate_inplace(X)
         return X
 
     def parameter_count(self):
@@ -119,6 +143,11 @@ class Box:
         self.upper = _freeze(np.atleast_1d(upper))
         if self.lower.shape != self.upper.shape:
             raise ShapeError("box bounds have different lengths")
+        # Infinite bounds are allowed: unbounded LP ranges produce them.
+        for name, bound in (("lower", self.lower), ("upper", self.upper)):
+            bad = np.flatnonzero(np.isnan(bound))
+            if bad.size:
+                raise ValueError(f"box {name} bound {bad[0]} is nan")
         if np.any(self.lower > self.upper):
             raise ValueError("box has lower > upper")
 

@@ -19,8 +19,8 @@ import numpy as np
 from .bisim import (DEFAULT_SPLITS, METHOD_EXACT, METHOD_INTERVAL,
                     METHOD_SPLIT, METHODS, bisim_error_upper)
 from .errors import ShapeError
-from .interval import SplitConfig, reach_box, reach_box_split, split_box
-from .lp import lp_feasible
+from .interval import SplitConfig, reach_box_split, split_box
+from .lp import FEAS_TOL, lp_feasible
 from .norms import LINF, check_norm, dual_norm
 from .star import DEFAULT_STAR_CAP, box_to_star, reach_stars
 
@@ -108,8 +108,24 @@ def _star_intersects(star, A, d):
     return lp_feasible(M, rhs)
 
 
+def _boxes_clear(boxes, spec):
+    """True when every box of the batch misses every unsafe polytope.
+
+    min over a box of a.y is lower @ A+^T + upper @ A-^T for all rows at
+    once; a box on which some row's minimum exceeds d + FEAS_TOL misses
+    that polytope outright. Only the boxes left over go to the LP.
+    """
+    for A, d in spec.unsafe_polytopes:
+        row_min = (boxes.lower @ np.maximum(A, 0.0).T
+                   + boxes.upper @ np.minimum(A, 0.0).T)
+        missed = np.any(row_min > d + FEAS_TOL, axis=1)
+        if any(_box_intersects(boxes[i], A, d) for i in np.flatnonzero(~missed)):
+            return False
+    return True
+
+
 def verify(net, box, spec, method=METHOD_INTERVAL, splits=None,
-           star_cap=DEFAULT_STAR_CAP, seed=DEFAULT_SEED, jobs=1):
+           star_cap=DEFAULT_STAR_CAP, seed=DEFAULT_SEED):
     """Three-valued safety check of net over box against spec.
 
     Safe is proved by disjointness of the over-approximate output set from
@@ -122,26 +138,19 @@ def verify(net, box, spec, method=METHOD_INTERVAL, splits=None,
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     k = DEFAULT_SPLITS if splits is None else int(splits)
 
+    # The interval method is the one-cell grid.
+    cfg = SplitConfig(k if method == METHOD_SPLIT else 1)
     if method == METHOD_EXACT:
-        sets = reach_stars(net, box_to_star(box), star_cap=star_cap)
-        intersects = _star_intersects
-    elif method == METHOD_SPLIT:
-        sets = reach_box_split(net, box, SplitConfig(k), jobs=jobs)
-        intersects = _box_intersects
+        stars = reach_stars(net, box_to_star(box), star_cap=star_cap)
+        clear = all(not _star_intersects(s, A, d)
+                    for A, d in spec.unsafe_polytopes for s in stars)
     else:
-        sets = [reach_box(net, box)]
-        intersects = _box_intersects
-
-    clear = all(not intersects(out_set, A, d)
-                for A, d in spec.unsafe_polytopes for out_set in sets)
+        clear = _boxes_clear(reach_box_split(net, box, cfg), spec)
     if clear:
         return Verdict(SAFE)
 
     # Over-approximation touched the unsafe region: hunt for a real witness.
-    if method == METHOD_SPLIT:
-        centers = np.array([c.center() for c in split_box(box, SplitConfig(k))])
-    else:
-        centers = box.center()[None, :]
+    centers = split_box(box, cfg).center()
     rng = np.random.default_rng(seed)
     candidates = np.vstack([centers, box.sample(rng, SEARCH_SAMPLES)])
     Y = net.forward_batch(candidates)
@@ -175,7 +184,7 @@ def inflate_spec(spec, eps, norm=LINF):
 
 def verify_via_compressed(net_big, net_small, box, spec, method=METHOD_SPLIT,
                           splits=None, norm=LINF, star_cap=DEFAULT_STAR_CAP,
-                          seed=DEFAULT_SEED, network_id="pair", jobs=1,
+                          seed=DEFAULT_SEED, network_id="pair",
                           also_large=False, large_method=None,
                           large_splits=None):
     """Verify net_big through its compressed stand-in net_small.
@@ -189,11 +198,10 @@ def verify_via_compressed(net_big, net_small, box, spec, method=METHOD_SPLIT,
     """
     t0 = perf_counter()
     bound = bisim_error_upper(net_big, net_small, box, method=method,
-                              norm=norm, splits=splits, star_cap=star_cap,
-                              jobs=jobs)
+                              norm=norm, splits=splits, star_cap=star_cap)
     inflated = inflate_spec(spec, bound.epsilon_upper, norm)
     raw = verify(net_small, box, inflated, method=method, splits=splits,
-                 star_cap=star_cap, seed=seed, jobs=jobs)
+                 star_cap=star_cap, seed=seed)
     small = Verdict(SAFE) if raw.status == SAFE else Verdict(UNCERTAIN)
     time_small = perf_counter() - t0
 
@@ -204,7 +212,7 @@ def verify_via_compressed(net_big, net_small, box, spec, method=METHOD_SPLIT,
         verdict_large = verify(net_big, box, spec,
                                method=large_method or method,
                                splits=large_splits if large_splits is not None else splits,
-                               star_cap=star_cap, seed=seed, jobs=jobs)
+                               star_cap=star_cap, seed=seed)
         time_large = perf_counter() - t1
     return BisimReport(network_id=network_id, epsilon=bound.epsilon_upper,
                        time_large_seconds=time_large,

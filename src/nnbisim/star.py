@@ -70,7 +70,9 @@ class Star:
         lo = lp_max(-row, self.constr_mat, self.constr_rhs)
         upper = off + hi.value if hi.optimal else np.inf
         lower = off - lo.value if lo.optimal else -np.inf
-        return lower, upper
+        # On a sliver star the two LPs can cross by rounding (~1e-17);
+        # the ordered pair still contains both answers.
+        return min(lower, upper), max(lower, upper)
 
     def bounding_box(self):
         lows, highs = zip(*(self.coord_range(i) for i in range(self.dim)))

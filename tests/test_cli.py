@@ -119,7 +119,56 @@ class TestBisim:
         assert first.returncode == second.returncode == 0
 
 
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("method", ["interval", "split", "exact"])
+    def test_nan_weight_rejected(self, workdir, method):
+        obj = json.loads(write_json_net(random_network([1, 4, 3, 1], 1.0, seed=1)))
+        obj["layers"][1]["weights"][2][0] = float("nan")
+        path = workdir / "nan.json"
+        path.write_text(json.dumps(obj))
+        res = run_cli("bisim", str(path), str(workdir / "small.json"),
+                      str(workdir / "problem.json"), "--method", method)
+        assert res.returncode == 2
+        assert "epsilon_upper=" not in res.stdout
+        assert "layers[1]: layer weights must be finite, found nan at index (2, 0)" in res.stderr
+
+    def test_nan_weight_in_nnet_rejected(self, workdir):
+        path = workdir / "nan.nnet"
+        path.write_text(MINIMAL_NNET.replace("0.5,", "nan,"))
+        res = run_cli("info", str(path))
+        assert res.returncode == 2
+        assert "bias must be finite, found nan" in res.stderr
+
+    def test_nan_box_bound_rejected(self, workdir):
+        prob = workdir / "nanbox.json"
+        prob.write_text("""{
+            "input": {"lower": ["NaN"], "upper": [1.0]},
+            "unsafe": [[{"a": [1.0], "b": 0.0}]]
+        }""")
+        res = run_cli("verify", str(workdir / "const1.json"), str(prob))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "input: box lower bound 0 is nan" in res.stderr
+
+    def test_infinite_box_bound_rejected(self, workdir):
+        prob = workdir / "infbox.json"
+        prob.write_text("""{
+            "input": {"lower": [-Infinity], "upper": [1.0]},
+            "unsafe": [[{"a": [1.0], "b": 0.0}]]
+        }""")
+        res = run_cli("verify", str(workdir / "const1.json"), str(prob))
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "input: box bounds must be finite" in res.stderr
+
+
 class TestVerify:
+    def test_jobs_flag_is_bisim_only(self, workdir):
+        res = run_cli("verify", str(workdir / "const1.json"),
+                      str(workdir / "problem.json"), "--jobs", "2")
+        assert res.returncode == 2
+        assert "unrecognized arguments: --jobs" in res.stderr
+
     def test_safe_exit_zero(self, workdir):
         res = run_cli("verify", str(workdir / "const1.json"),
                       str(workdir / "problem.json"))

@@ -1,10 +1,48 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nnbisim import (Box, ResourceLimitError, ShapeError, SplitConfig,
-                     act_bounds, affine_bounds, random_network, reach_box,
-                     reach_box_split, split_box)
+from nnbisim import (IDENTITY, RELU, Box, Layer, Network, ResourceLimitError,
+                     ShapeError, SplitConfig, act_bounds, affine_bounds,
+                     random_network, reach_box, reach_box_split, split_box)
 from conftest import two_layer_vee
+
+coeffs = st.floats(-2.0, 2.0, allow_subnormal=False)
+
+
+@st.composite
+def net_and_box(draw):
+    """Random shapes: width-1 layers, mixed ReLU/identity, zero-width dims."""
+    widths = draw(st.lists(st.integers(1, 5), min_size=2, max_size=5))
+    layers = []
+    for rows, cols in zip(widths[1:], widths[:-1]):
+        W = draw(st.lists(coeffs, min_size=rows * cols, max_size=rows * cols))
+        b = draw(st.lists(coeffs, min_size=rows, max_size=rows))
+        acts = draw(st.lists(st.sampled_from([RELU, IDENTITY]),
+                             min_size=rows, max_size=rows))
+        layers.append(Layer(np.reshape(W, (rows, cols)), b, acts))
+    lower = np.array(draw(st.lists(coeffs, min_size=widths[0], max_size=widths[0])))
+    width = draw(st.lists(st.sampled_from([0.0, 0.25, 1.0, 3.0]),
+                          min_size=widths[0], max_size=widths[0]))
+    return Network(widths[0], layers), Box(lower, lower + np.array(width))
+
+
+def reference_cells(box, k):
+    """The uniform grid, one Box per cell, in itertools.product order."""
+    edges = [np.linspace(box.lower[j], box.upper[j], k + 1) for j in range(len(box))]
+    return [Box([edges[j][i] for j, i in enumerate(idx)],
+                [edges[j][i + 1] for j, i in enumerate(idx)])
+            for idx in itertools.product(range(k), repeat=len(box))]
+
+
+def reference_reach(net, box):
+    """Per-box interval propagation, one layer at a time."""
+    for lay in net.layers:
+        box = act_bounds(lay.relu_mask, affine_bounds(lay.weights, lay.bias, box))
+    return box
 
 
 class TestAffineBounds:
@@ -120,14 +158,28 @@ class TestSplit:
         with pytest.raises(ResourceLimitError):
             split_box(box, SplitConfig(10, max_cells=100))
 
-    def test_jobs_same_result(self):
-        net = random_network([2, 6, 3, 1], 1.0, seed=12)
-        box = Box([-1.0, -1.0], [1.0, 1.0])
-        serial = reach_box_split(net, box, SplitConfig(3), jobs=1)
-        threaded = reach_box_split(net, box, SplitConfig(3), jobs=4)
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.lower, b.lower)
-            assert np.array_equal(a.upper, b.upper)
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_batched_matches_per_cell_reference(self, data):
+        net, box = data.draw(net_and_box())
+        k = data.draw(st.integers(1, 3))
+        got = reach_box_split(net, box, SplitConfig(k))
+        ref_cells = reference_cells(box, k)
+        cells = split_box(box, SplitConfig(k))
+        assert len(got) == len(cells) == len(ref_cells)
+        assert np.array_equal(cells.lower, np.array([c.lower for c in ref_cells]))
+        assert np.array_equal(cells.upper, np.array([c.upper for c in ref_cells]))
+        for cell, out in zip(ref_cells, got):
+            ref = reference_reach(net, cell)
+            scale = max(1.0, np.abs(ref.lower).max(), np.abs(ref.upper).max())
+            assert np.allclose(out.lower, ref.lower, rtol=0.0, atol=1e-12 * scale)
+            assert np.allclose(out.upper, ref.upper, rtol=0.0, atol=1e-12 * scale)
+
+    def test_grid_order_is_last_dimension_fastest(self):
+        cells = split_box(Box([0.0, 0.0, 0.0], [2.0, 2.0, 2.0]), SplitConfig(2))
+        idx = [tuple(c.lower.astype(int)) for c in cells]
+        assert idx == list(itertools.product(range(2), repeat=3))
+        assert np.array_equal(cells.center()[1], [0.5, 0.5, 1.5])
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

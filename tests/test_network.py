@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nnbisim import Box, Layer, Network, ShapeError, random_network, validate
+from nnbisim import (Box, Layer, Network, ShapeError, merge, random_network,
+                     validate)
 from conftest import two_layer_vee
 
 
@@ -136,6 +137,48 @@ class TestBox:
         box = Box([0.0], [1.0])
         with pytest.raises(ValueError):
             box.lower[0] = 5.0
+
+    def test_nan_bound_rejected(self):
+        with pytest.raises(ValueError, match="lower bound 1 is nan"):
+            Box([0.0, np.nan], [1.0, 1.0])
+        with pytest.raises(ValueError, match="upper bound 0 is nan"):
+            Box([0.0], [np.nan])
+
+    def test_infinite_bounds_allowed(self):
+        box = Box([-np.inf, 0.0], [1.0, np.inf])
+        assert box.contains([-1e300, 1e300])
+
+
+class TestFiniteLayers:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        W = np.eye(2)
+        W[1, 0] = bad
+        with pytest.raises(ValueError, match=rf"weights must be finite, found {bad} at index \(1, 0\)"):
+            Layer.relu(W, [0.0, 0.0])
+
+    def test_non_finite_bias_rejected(self):
+        with pytest.raises(ValueError, match="bias must be finite, found nan at index 1"):
+            Layer.linear(np.eye(2), [0.0, np.nan])
+
+
+class TestForwardBatchActivations:
+    def test_bit_identical_to_masked_where(self):
+        # Mixed, all-ReLU and all-identity layers, as in a merged network.
+        net = merge(random_network([3, 7, 6, 5, 2], 1.0, seed=21),
+                    random_network([3, 4, 2], 1.0, seed=22))
+        X = np.random.default_rng(3).uniform(-1.0, 1.0, (2000, 3))
+        ref = X
+        for lay in net.layers:
+            Z = ref @ lay.weights.T + lay.bias
+            ref = np.where(lay.relu_mask, np.maximum(Z, 0.0), Z)
+        assert np.array_equal(net.forward_batch(X), ref)
+
+    def test_input_not_modified(self):
+        net = Network(2, [Layer.relu(np.eye(2), [0.0, 0.0])])
+        X = np.array([[-1.0, 2.0]])
+        net.forward_batch(X)
+        assert np.array_equal(X, [[-1.0, 2.0]])
 
 
 class TestActivationTags:

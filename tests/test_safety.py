@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from nnbisim import (Box, Layer, LinearSpec, Network, ShapeError, Verdict,
-                     bisim_error_upper, inflate_spec, random_network,
-                     reach_box, verify, verify_via_compressed)
-from nnbisim.safety import (SAFE, UNCERTAIN, UNSAFE, BisimReport, report_csv,
+import nnbisim.safety
+from nnbisim import (Box, Layer, LinearSpec, Network, ShapeError, SplitConfig,
+                     Verdict, bisim_error_upper, inflate_spec, random_network,
+                     reach_box, split_box, verify, verify_via_compressed)
+from nnbisim.safety import (SAFE, SEARCH_SAMPLES, UNCERTAIN, UNSAFE,
+                            BisimReport, _box_intersects, report_csv,
                             report_table)
 from conftest import constant_net
 
@@ -93,6 +95,91 @@ class TestVerify:
             assert verdict.status == SAFE
             Y = net.forward_batch(box.sample(rng, 10**4))
             assert not np.any(Y[:, 0] <= out.lower[0] - 0.5)
+
+
+def lp_per_cell_verify(net, box, spec, splits, seed=42):
+    """Split verification with one LP per cell and polytope, no closed form."""
+    cells = split_box(box, SplitConfig(splits))
+    outs = [reach_box(net, c) for c in cells]
+    if not any(_box_intersects(o, A, d)
+               for A, d in spec.unsafe_polytopes for o in outs):
+        return Verdict(SAFE)
+    rng = np.random.default_rng(seed)
+    candidates = np.vstack([cells.center(), box.sample(rng, SEARCH_SAMPLES)])
+    Y = net.forward_batch(candidates)
+    for x, y in zip(candidates, Y):
+        if spec.holds_at(y) and spec.holds_at(net.forward(x)):
+            return Verdict(UNSAFE, witness=x)
+    return Verdict(UNCERTAIN)
+
+
+def same_verdict(a, b):
+    if a.status != b.status:
+        return False
+    return a.witness is None or np.array_equal(a.witness, b.witness)
+
+
+class TestClosedFormCellTest:
+    """The closed-form row test only removes cells the LP also rules out."""
+
+    identity2 = Network(2, [Layer.linear(np.eye(2), [0.0, 0.0])])
+    unit = Box([0.0, 0.0], [1.0, 1.0])
+
+    def test_polytope_touching_every_cell(self):
+        # y0 <= 0.5, y1 <= 0.5, y0 + y1 >= 1: only the corner shared by all
+        # four cells; every cell touches it, so nothing is proved.
+        spec = LinearSpec([(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]),
+                            np.array([0.5, 0.5, -1.0]))])
+        got = verify(self.identity2, self.unit, spec, method="split", splits=2)
+        ref = lp_per_cell_verify(self.identity2, self.unit, spec, 2)
+        assert got.status == UNCERTAIN
+        assert same_verdict(got, ref)
+
+    def test_rows_hit_but_conjunction_misses(self):
+        # Each row alone meets the top-right cell; together they are empty,
+        # which only the LP can show.
+        spec = LinearSpec([(np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]),
+                            np.array([0.5, 0.5, -1.001]))])
+        got = verify(self.identity2, self.unit, spec, method="split", splits=2)
+        assert got.status == SAFE
+        assert same_verdict(got, lp_per_cell_verify(self.identity2, self.unit, spec, 2))
+
+    def test_boundary_cell_with_witness(self):
+        # y0 + y1 >= 1.5 meets the top-right cell; its center is a witness.
+        spec = LinearSpec([(np.array([[-1.0, -1.0], [1.0, 0.0]]),
+                            np.array([-1.5, 1.0]))])
+        got = verify(self.identity2, self.unit, spec, method="split", splits=2)
+        assert got.status == UNSAFE
+        assert np.array_equal(got.witness, [0.75, 0.75])
+        assert same_verdict(got, lp_per_cell_verify(self.identity2, self.unit, spec, 2))
+
+    def test_random_nets_match_lp_per_cell(self):
+        rng = np.random.default_rng(11)
+        statuses = set()
+        for seed in range(25):
+            net = random_network([2, 5, 3, 2], 1.0, seed=700 + seed)
+            box = Box([-1.0, -0.5], [1.0, 0.5])
+            y = net.forward_batch(box.sample(rng, 200))
+            polys = []
+            for _ in range(2):
+                A = rng.uniform(-1.0, 1.0, (int(rng.integers(1, 4)), 2))
+                d = (A @ y[rng.integers(200)]) + rng.choice([-1.0, -0.1, 0.0, 0.1])
+                polys.append((A, d))
+            spec = LinearSpec(polys)
+            got = verify(net, box, spec, method="split", splits=3)
+            assert same_verdict(got, lp_per_cell_verify(net, box, spec, 3))
+            statuses.add(got.status)
+        assert statuses == {SAFE, UNSAFE, UNCERTAIN}
+
+    def test_clear_margin_needs_no_lp(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(nnbisim.safety, "lp_feasible",
+                            lambda A, d: calls.append(1) or True)
+        net = random_network([2, 6, 4, 1], 1.0, seed=5)
+        box = Box([-1.0, -1.0], [1.0, 1.0])
+        spec = halfspace([1.0], reach_box(net, box).lower[0] - 1.0)
+        assert verify(net, box, spec, method="split", splits=4).status == SAFE
+        assert calls == []
 
 
 class TestInflate:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from nnbisim import (Box, Layer, Network, ResourceLimitError, Star,
+import nnbisim.star
+from nnbisim import (OPTIMAL, Box, Layer, LPResult, Network, ResourceLimitError, Star,
                      box_to_star, lp_max, random_network, reach_box,
                      reach_stars, star_sup_norm)
 from conftest import star_contains, union_contains
@@ -47,6 +48,17 @@ class TestStarInvariants:
         bb = s.bounding_box()
         assert np.allclose(bb.lower, [-1.0, 0.0], atol=1e-9)
         assert np.allclose(bb.upper, [1.0, 4.0], atol=1e-9)
+
+
+    def test_crossed_lp_range_is_ordered(self, monkeypatch):
+        # On a sliver star the two range LPs can cross by rounding; the
+        # range must come back ordered, and the bounding box must build.
+        star = Star([0.0], [[1e-9]], [[1.0], [-1.0]], [1.0, 1.0], check=False)
+        monkeypatch.setattr(nnbisim.star, "lp_max",
+                            lambda c, A, d: LPResult(OPTIMAL, -1e-17, None))
+        assert star.coord_range(0) == (-1e-17, 1e-17)
+        box = star.bounding_box()
+        assert box.lower[0] == -1e-17 and box.upper[0] == 1e-17
 
 
 class TestReachStars:
