@@ -39,6 +39,8 @@ class ErrorBound:
     wall_time_seconds: float
 
     def __post_init__(self):
+        if not np.isfinite(self.epsilon_upper):
+            raise ValueError(f"epsilon_upper must be finite, got {self.epsilon_upper}")
         if self.epsilon_lower > self.epsilon_upper + 1e-9:
             raise ValueError("epsilon_lower exceeds epsilon_upper")
 
@@ -56,6 +58,7 @@ def bisim_error_upper(net_big, net_small, box, method=METHOD_INTERVAL,
     check_norm(norm)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    box.require_finite()
     t0 = perf_counter()
     merged = merge(net_big, net_small)
     if method == METHOD_INTERVAL:
@@ -84,6 +87,7 @@ def bisim_error_lower_mc(net_big, net_small, box, samples, seed, norm=LINF,
     check_norm(norm)
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    box.require_finite()
     rng = np.random.default_rng(seed)
     X = box.sample(rng, samples)
 

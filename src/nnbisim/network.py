@@ -154,6 +154,12 @@ class Box:
     def __len__(self):
         return self.lower.shape[0]
 
+    def require_finite(self):
+        """Raise ValueError naming the first infinite bound; the analyses
+        that take a box need finite ones."""
+        _require_finite(self.lower, "box lower bound")
+        _require_finite(self.upper, "box upper bound")
+
     def center(self):
         return (self.lower + self.upper) / 2.0
 

@@ -22,7 +22,7 @@ from .errors import ShapeError
 from .interval import SplitConfig, reach_box_split, split_box
 from .lp import FEAS_TOL, lp_feasible
 from .norms import LINF, check_norm, dual_norm
-from .star import DEFAULT_STAR_CAP, box_to_star, reach_stars
+from .star import DEFAULT_STAR_CAP, box_to_star, reach_stars, star_bounds
 
 SAFE = "Safe"
 UNSAFE = "Unsafe"
@@ -108,18 +108,19 @@ def _star_intersects(star, A, d):
     return lp_feasible(M, rhs)
 
 
-def _boxes_clear(boxes, spec):
-    """True when every box of the batch misses every unsafe polytope.
+def _clear(lower, upper, spec, intersects):
+    """True when every set of a batch misses every unsafe polytope.
 
-    min over a box of a.y is lower @ A+^T + upper @ A-^T for all rows at
-    once; a box on which some row's minimum exceeds d + FEAS_TOL misses
-    that polytope outright. Only the boxes left over go to the LP.
+    lower and upper are (n, dim) outer bounds of the n sets. min over such
+    a box of a.y is lower @ A+^T + upper @ A-^T for all rows at once; a set
+    on which some row's minimum exceeds d + FEAS_TOL misses that polytope
+    outright. Only the sets left over go to intersects(i, A, d), the LP.
     """
     for A, d in spec.unsafe_polytopes:
-        row_min = (boxes.lower @ np.maximum(A, 0.0).T
-                   + boxes.upper @ np.minimum(A, 0.0).T)
+        row_min = (lower @ np.maximum(A, 0.0).T
+                   + upper @ np.minimum(A, 0.0).T)
         missed = np.any(row_min > d + FEAS_TOL, axis=1)
-        if any(_box_intersects(boxes[i], A, d) for i in np.flatnonzero(~missed)):
+        if any(intersects(i, A, d) for i in np.flatnonzero(~missed)):
             return False
     return True
 
@@ -136,16 +137,19 @@ def verify(net, box, spec, method=METHOD_INTERVAL, splits=None,
     _check_spec_dim(net, spec)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    box.require_finite()
     k = DEFAULT_SPLITS if splits is None else int(splits)
 
     # The interval method is the one-cell grid.
     cfg = SplitConfig(k if method == METHOD_SPLIT else 1)
     if method == METHOD_EXACT:
         stars = reach_stars(net, box_to_star(box), star_cap=star_cap)
-        clear = all(not _star_intersects(s, A, d)
-                    for A, d in spec.unsafe_polytopes for s in stars)
+        clear = _clear(*star_bounds(stars), spec,
+                       lambda i, A, d: _star_intersects(stars[i], A, d))
     else:
-        clear = _boxes_clear(reach_box_split(net, box, cfg), spec)
+        boxes = reach_box_split(net, box, cfg)
+        clear = _clear(boxes.lower, boxes.upper, spec,
+                       lambda i, A, d: _box_intersects(boxes[i], A, d))
     if clear:
         return Verdict(SAFE)
 

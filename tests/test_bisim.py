@@ -139,9 +139,37 @@ class TestErrorBound:
             ErrorBound(epsilon_upper=1.0, epsilon_lower=2.0, method="interval",
                        norm="inf", wall_time_seconds=0.0)
 
+    @pytest.mark.parametrize("eps", [np.nan, np.inf])
+    def test_non_finite_upper_rejected(self, eps):
+        with pytest.raises(ValueError, match="epsilon_upper must be finite"):
+            ErrorBound(epsilon_upper=eps, epsilon_lower=0.0, method="interval",
+                       norm="inf", wall_time_seconds=0.0)
+
     def test_exact_reports_matching_lower(self):
         big, small, box = random_pair(21)
         bound = bisim_error_upper(big, small, box, method="exact")
         assert bound.epsilon_lower == bound.epsilon_upper
         loose = bisim_error_upper(big, small, box, method="interval")
         assert loose.epsilon_lower == 0.0
+
+
+class TestNonFiniteBox:
+    big = random_network([2, 3, 1], 1.0, seed=1)
+    small = random_network([2, 2, 1], 1.0, seed=2)
+
+    @pytest.mark.parametrize("method", ["interval", "split", "exact"])
+    def test_upper_names_the_bound(self, method):
+        with pytest.raises(ValueError,
+                           match="box lower bound must be finite, found -inf at index 1"):
+            bisim_error_upper(self.big, self.small,
+                              Box([0.0, -np.inf], [1.0, 1.0]), method=method)
+        with pytest.raises(ValueError,
+                           match="box upper bound must be finite, found inf at index 0"):
+            bisim_error_upper(self.big, self.small,
+                              Box([0.0, 0.0], [np.inf, 1.0]), method=method)
+
+    def test_lower_mc_names_the_bound(self):
+        with pytest.raises(ValueError,
+                           match="box upper bound must be finite, found inf at index 1"):
+            bisim_error_lower_mc(self.big, self.small,
+                                 Box([0.0, 0.0], [1.0, np.inf]), 100, seed=0)

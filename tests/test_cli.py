@@ -1,10 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import nnbisim
 from nnbisim import NNetMeta, merge, random_network, write_json_net, write_nnet
 from conftest import constant_net
 
@@ -27,9 +29,16 @@ PROBLEM_1D = """{
 }"""
 
 
+# The CLI runs in a child process that imports the package these tests
+# import, also when pytest found it through its own pythonpath setting.
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(nnbisim.__file__))
+CLI_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    [PACKAGE_ROOT] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+
+
 def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "nnbisim.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=CLI_ENV)
 
 
 @pytest.fixture

@@ -181,6 +181,28 @@ class TestClosedFormCellTest:
         assert verify(net, box, spec, method="split", splits=4).status == SAFE
         assert calls == []
 
+    def test_exact_clear_margin_needs_no_lp_feasible(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(nnbisim.safety, "lp_feasible",
+                            lambda A, d: calls.append(1) or True)
+        net = random_network([2, 6, 4, 1], 1.0, seed=5)
+        box = Box([-1.0, -1.0], [1.0, 1.0])
+        # Each star's closed-form bound uses the whole input box, so it can
+        # be looser than reach_box; a wide margin clears it all the same.
+        spec = halfspace([1.0], reach_box(net, box).lower[0] - 100.0)
+        assert verify(net, box, spec, method="exact").status == SAFE
+        assert calls == []
+
+
+class TestNonFiniteBox:
+    @pytest.mark.parametrize("method", ["interval", "split", "exact"])
+    def test_verify_names_the_bound(self, method):
+        net = random_network([2, 3, 1], 1.0, seed=1)
+        with pytest.raises(ValueError,
+                           match="box lower bound must be finite, found -inf at index 0"):
+            verify(net, Box([-np.inf, 0.0], [1.0, 1.0]), halfspace([1.0], 0.0),
+                   method=method)
+
 
 class TestInflate:
     def test_single_coordinate(self):

@@ -1,10 +1,16 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nnbisim.star
-from nnbisim import (OPTIMAL, Box, Layer, LPResult, Network, ResourceLimitError, Star,
-                     box_to_star, lp_max, random_network, reach_box,
-                     reach_stars, star_sup_norm)
+from nnbisim import (IDENTITY, OPTIMAL, RELU, Box, Layer, LinearSpec, LPResult,
+                     Network, ResourceLimitError, Star, Verdict, bisim_error_upper,
+                     box_to_star, lp_feasible, lp_max, merge, random_network,
+                     reach_box, reach_stars, star_sup_norm, sup_norm_box, verify)
+from nnbisim.safety import SAFE, SEARCH_SAMPLES, UNCERTAIN, UNSAFE
 from conftest import star_contains, union_contains
 
 
@@ -148,3 +154,169 @@ class TestSupNorm:
         rng = np.random.default_rng(3)
         Y = net.forward_batch(box.sample(rng, 5000))
         assert np.linalg.norm(Y, axis=1).max() <= bound + 1e-9
+
+    def test_nan_center_after_finite_star_propagates(self):
+        finite = box_to_star(Box([5.0], [6.0]))
+        small = box_to_star(Box([0.0], [0.5]))
+        nan_star = box_to_star(Box([0.0], [1.0])).affine([[1.0]], [np.nan])
+        for stars in ([finite, nan_star], [finite, nan_star, small],
+                      [small, finite, nan_star]):
+            assert math.isnan(star_sup_norm(stars, "inf"))
+            assert math.isnan(star_sup_norm(stars, "l2"))
+
+
+def reference_range(off, row, A, d):
+    """Ordered [lo, hi] of off + row @ a over {A a <= d} by two LPs."""
+    if not np.any(np.abs(row) > 0.0):
+        return off, off
+    hi = lp_max(row, A, d)
+    lo = lp_max(-row, A, d)
+    upper = off + hi.value if hi.optimal else np.inf
+    lower = off - lo.value if lo.optimal else -np.inf
+    return min(lower, upper), max(lower, upper)
+
+
+def reference_reach_stars(net, star):
+    """Star reachability with both range LPs at every ReLU decision.
+
+    Stars are plain (center, basis, constr_mat, constr_rhs) tuples.
+    """
+    stars = [(star.center, star.basis, star.constr_mat, star.constr_rhs)]
+    for lay in net.layers:
+        stars = [(lay.weights @ c + lay.bias, lay.weights @ V, A, d)
+                 for c, V, A, d in stars]
+        for i in np.flatnonzero(lay.relu_mask):
+            nxt = []
+            for c, V, A, d in stars:
+                lo, hi = reference_range(c[i], V[i], A, d)
+                if lo >= 0.0:
+                    nxt.append((c, V, A, d))
+                    continue
+                zc, zV = c.copy(), V.copy()
+                zc[i] = 0.0
+                zV[i, :] = 0.0
+                if hi > 0.0:
+                    nxt.append((c, V, np.vstack([A, -V[i]]), np.append(d, c[i])))
+                    A, d = np.vstack([A, V[i]]), np.append(d, -c[i])
+                nxt.append((zc, zV, A, d))
+            stars = nxt
+    return stars
+
+
+def reference_sup_norm(stars, norm):
+    """max over stars of the norm of their LP bounding boxes."""
+    best = 0.0
+    for c, V, A, d in stars:
+        lows, highs = zip(*(reference_range(c[i], V[i], A, d) for i in range(len(c))))
+        best = max(best, sup_norm_box(Box(lows, highs), norm))
+    return best
+
+
+def reference_exact_verify(net, box, spec, seed=42):
+    """verify(method="exact") with one LP per star and polytope."""
+    stars = reference_reach_stars(net, box_to_star(box))
+    if not any(lp_feasible(np.vstack([S, A @ V]), np.concatenate([r, d - A @ c]))
+               for A, d in spec.unsafe_polytopes for c, V, S, r in stars):
+        return Verdict(SAFE)
+    rng = np.random.default_rng(seed)
+    candidates = np.vstack([box.center(), box.sample(rng, SEARCH_SAMPLES)])
+    # The same batched test as verify's search: on a boundary a per-row
+    # product can round the other way.
+    Y = net.forward_batch(candidates)
+    hits = np.zeros(len(candidates), dtype=bool)
+    for A, d in spec.unsafe_polytopes:
+        hits |= np.all(Y @ A.T <= d, axis=1)
+    for x in candidates[hits]:
+        if spec.holds_at(net.forward(x)):
+            return Verdict(UNSAFE, witness=x)
+    return Verdict(UNCERTAIN)
+
+
+@st.composite
+def net_and_box(draw):
+    """Small nets for the exact back-end: width-1 layers, mixed ReLU and
+    identity neurons, zero-width input dimensions. Shapes and activation
+    tags come from hypothesis, weights from a seeded generator so that
+    most draws make the neurons split."""
+    widths = draw(st.lists(st.integers(1, 4), min_size=3, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    layers = []
+    for rows, cols in zip(widths[1:], widths[:-1]):
+        tags = draw(st.lists(st.sampled_from([RELU, RELU, IDENTITY]),
+                             min_size=rows, max_size=rows))
+        layers.append(Layer(rng.uniform(-1.5, 1.5, (rows, cols)),
+                            rng.uniform(-0.5, 0.5, rows), tags))
+    n = widths[0]
+    lower = rng.uniform(-1.0, 1.0, n)
+    width = draw(st.lists(st.sampled_from([0.0, 0.5, 2.0]), min_size=n, max_size=n))
+    return Network(n, layers), Box(lower, lower + np.array(width))
+
+
+@st.composite
+def input_star(draw, box):
+    """The box's star, or the box cut by one extra predicate constraint,
+    either derived from box_to_star or built by hand (no predicate box)."""
+    kind = draw(st.sampled_from(["box", "cut", "built"]))
+    star = box_to_star(box)
+    if kind == "box":
+        return star
+    n = len(box)
+    # Quarter steps keep the cut's coefficients away from ~1e-12, where the
+    # simplex can stop on a pivot below its threshold.
+    a = np.array(draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))) / 4.0
+    # min of a @ pred over [-1, 1]^n is -||a||_1, so t >= -0.5 keeps it feasible
+    b = draw(st.floats(-0.5, 1.0)) * np.abs(a).sum()
+    if kind == "cut":
+        return star.with_constraint(a, b)
+    return Star(star.center, star.basis, np.vstack([star.constr_mat, a]),
+                np.append(star.constr_rhs, b))
+
+
+class TestPrunedMatchesReference:
+    """The LP-pruned back-end gives the stars of two LPs per ReLU decision."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_same_stars_and_sup_norms(self, data):
+        net, box = data.draw(net_and_box())
+        star = data.draw(input_star(box))
+        got = reach_stars(net, star)
+        ref = reference_reach_stars(net, star)
+        assert len(got) == len(ref)
+        for s, (c, V, A, d) in zip(got, ref):
+            assert np.array_equal(s.center, c) and np.array_equal(s.basis, V)
+            assert np.array_equal(s.constr_mat, A) and np.array_equal(s.constr_rhs, d)
+        for norm in ("inf", "l2"):
+            assert star_sup_norm(got, norm) == reference_sup_norm(ref, norm)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_exact_verify_matches_reference(self, data):
+        net, box = data.draw(net_and_box())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        y = net.forward_batch(box.sample(rng, 50))
+        polys = []
+        for _ in range(data.draw(st.integers(1, 2))):
+            A = rng.uniform(-1.0, 1.0, (data.draw(st.integers(1, 3)), net.output_dim))
+            shift = data.draw(st.sampled_from([-1.0, -0.1, 0.0, 0.1]))
+            polys.append((A, A @ y[rng.integers(50)] + shift))
+        spec = LinearSpec(polys)
+        got = verify(net, box, spec, method="exact")
+        ref = reference_exact_verify(net, box, spec)
+        assert got.status == ref.status
+        assert np.array_equal(got.witness, ref.witness)
+
+    def test_lp_count_on_baseline_pair(self, monkeypatch):
+        big = random_network([2, 10, 10, 1], 1.0, seed=7)
+        small = random_network([2, 4, 1], 1.0, seed=8)
+        box = Box([-1.0, -1.0], [1.0, 1.0])
+        ref = reference_sup_norm(
+            reference_reach_stars(merge(big, small), box_to_star(box)), "inf")
+        calls = []
+        real = nnbisim.star.lp_max
+        monkeypatch.setattr(nnbisim.star, "lp_max",
+                            lambda c, A, d: calls.append(1) or real(c, A, d))
+        bound = bisim_error_upper(big, small, box, method="exact")
+        # Two LPs per decision and per output bound make 2122 calls.
+        assert len(calls) <= 1061
+        assert bound.epsilon_upper == ref
