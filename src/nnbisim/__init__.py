@@ -8,13 +8,15 @@ safety verification through the compressed network.
 
 from .bisim import (ErrorBound, bisim_error_lower_mc, bisim_error_upper,
                     check_assured)
-from .errors import (DegenerateLPError, MergePreconditionError, ParseError,
-                     ResourceLimitError, ShapeError, UnsupportedShapeError)
+from .errors import (DegenerateLPError, MergePreconditionError, NumericError,
+                     ParseError, ResourceLimitError, ShapeError,
+                     UnsupportedShapeError)
 from .formats import (NNetMeta, eval_normalized, parse_json_net, parse_nnet,
                       parse_problem, write_json_net, write_nnet)
 from .interval import (BoxBatch, SplitConfig, act_bounds, affine_bounds,
                        reach_box, reach_box_split, split_box)
-from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, lp_feasible, lp_max
+from .lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, LPStart,
+                 lp_feasible, lp_max, phase_one)
 from .merge import difference_eval, merge
 from .network import (IDENTITY, RELU, Box, Layer, Network, random_network,
                       validate)

@@ -12,6 +12,7 @@ from time import perf_counter
 
 import numpy as np
 
+from .errors import NumericError
 from .interval import SplitConfig, reach_box, reach_box_split
 from .merge import merge
 from .norms import LINF, batch_norms, check_norm, sup_norm_box
@@ -40,7 +41,7 @@ class ErrorBound:
 
     def __post_init__(self):
         if not np.isfinite(self.epsilon_upper):
-            raise ValueError(f"epsilon_upper must be finite, got {self.epsilon_upper}")
+            raise NumericError(f"epsilon_upper must be finite, got {self.epsilon_upper}")
         if self.epsilon_lower > self.epsilon_upper + 1e-9:
             raise ValueError("epsilon_lower exceeds epsilon_upper")
 
@@ -82,7 +83,8 @@ def bisim_error_lower_mc(net_big, net_small, box, samples, seed, norm=LINF,
     """Sampled lower bound on the bisimulation error.
 
     The sample matrix is generated in one pass from the seed, so the
-    result does not depend on how evaluation is parallelized.
+    result does not depend on how evaluation is parallelized. Raises
+    NumericError when an output difference is not finite.
     """
     check_norm(norm)
     if samples < 1:
@@ -92,14 +94,19 @@ def bisim_error_lower_mc(net_big, net_small, box, samples, seed, norm=LINF,
     X = box.sample(rng, samples)
 
     def worst(chunk):
-        D = net_big.forward_batch(chunk) - net_small.forward_batch(chunk)
-        return float(batch_norms(D, norm).max())
+        with np.errstate(over="ignore", invalid="ignore"):
+            D = net_big.forward_batch(chunk) - net_small.forward_batch(chunk)
+            return batch_norms(D, norm).max()
 
     if jobs > 1 and samples > 4 * jobs:
         chunks = np.array_split(X, jobs)
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return max(pool.map(worst, chunks))
-    return worst(X)
+            lower = np.max(list(pool.map(worst, chunks)))
+    else:
+        lower = worst(X)
+    if not np.isfinite(lower):
+        raise NumericError(f"sampled output difference is not finite: {lower}")
+    return float(lower)
 
 
 def check_assured(net_big, net_small, box, eps, method=METHOD_INTERVAL,

@@ -18,8 +18,7 @@ import sys
 from time import perf_counter
 
 from .bisim import bisim_error_lower_mc, bisim_error_upper
-from .errors import (DegenerateLPError, MergePreconditionError, ParseError,
-                     ResourceLimitError)
+from .errors import MergePreconditionError, ParseError, ResourceLimitError
 from .formats import parse_json_net, parse_nnet, parse_problem, write_json_net
 from .merge import merge
 from .network import RELU
@@ -252,7 +251,8 @@ def main(argv=None):
     except MergePreconditionError as exc:
         print(f"error: merge precondition: {exc}", file=sys.stderr)
         return EXIT_MERGE
-    except (ResourceLimitError, DegenerateLPError) as exc:
+    # ArithmeticError: NumericError, DegenerateLPError, OverflowError.
+    except (ResourceLimitError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except ValueError as exc:  # bad shapes or argument values from input files

@@ -21,6 +21,11 @@ class DegenerateLPError(ArithmeticError):
     """The simplex hit a pivot too small to trust (numeric breakdown)."""
 
 
+class NumericError(ArithmeticError, ValueError):
+    """Finite input gave a non-finite result (weights large enough to
+    overflow double precision)."""
+
+
 class ParseError(ValueError):
     """A network or problem file is malformed; message carries the location."""
 

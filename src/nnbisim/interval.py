@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ResourceLimitError, ShapeError
+from .errors import NumericError, ResourceLimitError, ShapeError
 from .network import Box
 
 DEFAULT_CELL_CAP = 10**6
@@ -94,15 +94,27 @@ def act_bounds(relu_mask, box):
     return Box(lower, upper)
 
 
+def _finite(*arrays):
+    return all(np.isfinite(a).all() for a in arrays)
+
+
 def _propagate(net, lower, upper):
-    """Output bounds of every row box [lower_i, upper_i] through net."""
-    for lay in net.layers:
-        W_pos = np.maximum(lay.weights, 0.0).T
-        W_neg = np.minimum(lay.weights, 0.0).T
-        lower, upper = (lower @ W_pos + upper @ W_neg + lay.bias,
-                        upper @ W_pos + lower @ W_neg + lay.bias)
-        lay.activate_inplace(lower)
-        lay.activate_inplace(upper)
+    """Output bounds of every row box [lower_i, upper_i] through net.
+
+    Raises NumericError when finite boxes give non-finite output bounds.
+    """
+    finite_in = _finite(lower, upper)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lay in net.layers:
+            W_pos = np.maximum(lay.weights, 0.0).T
+            W_neg = np.minimum(lay.weights, 0.0).T
+            lower, upper = (lower @ W_pos + upper @ W_neg + lay.bias,
+                            upper @ W_pos + lower @ W_neg + lay.bias)
+            lay.activate_inplace(lower)
+            lay.activate_inplace(upper)
+    if finite_in and not _finite(lower, upper):
+        raise NumericError("interval bounds overflowed: a finite input box "
+                           "gave a non-finite output bound")
     return lower, upper
 
 

@@ -14,16 +14,17 @@ an outer bound for every descendant (constraints are only ever added) and
 gives closed-form bounds on each output coordinate. This is the
 estimated-bounds idea of NNV's star sets (Tran et al., "Star-Based
 Reachability Analysis of Deep Neural Networks", FM 2019). Star counts and
-suprema are those of running both range LPs at every neuron.
+suprema are those of running both range LPs at every neuron. The LPs that
+do run on one constraint system share one simplex phase 1 (see lp.py).
 
 Practical on small networks only; the star count is capped.
 """
 
 import numpy as np
 
-from .errors import ResourceLimitError, ShapeError
+from .errors import NumericError, ResourceLimitError, ShapeError
 from .interval import BoxBatch
-from .lp import lp_max
+from .lp import lp_max, phase_one
 from .network import Box
 from .norms import LINF, batch_norms, sup_norm_box
 
@@ -40,7 +41,9 @@ class Star:
     point is a feasible predicate point (None when unknown) and pred_box
     a (lower, upper) pair of arrays bounding the predicate polytope (None
     when unknown). Affine maps and zeroed rows keep both; a cut keeps the
-    box only.
+    box only. The phase-1 start of the constraint system is built on the
+    first LP and shared with every star that keeps the same constraint
+    arrays.
     """
 
     def __init__(self, center, basis, constr_mat, constr_rhs, check=True):
@@ -50,6 +53,7 @@ class Star:
         self.constr_rhs = np.atleast_1d(np.asarray(constr_rhs, dtype=float))
         self.point = None
         self.pred_box = None
+        self._start = None
         p = self.basis.shape[1]
         if self.constr_mat.size == 0:
             self.constr_mat = self.constr_mat.reshape(self.constr_rhs.shape[0], p)
@@ -58,7 +62,7 @@ class Star:
         if self.constr_mat.shape != (self.constr_rhs.shape[0], p):
             raise ShapeError("constraint shapes inconsistent with basis columns")
         if check:
-            res = lp_max(np.zeros(p), self.constr_mat, self.constr_rhs)
+            res = self._lp_max(np.zeros(p))
             if not res.optimal:
                 raise ValueError("star constraint set is infeasible")
             self.point = res.point
@@ -71,7 +75,17 @@ class Star:
         star = Star(center, basis, constr_mat, constr_rhs, check=False)
         star.point = point
         star.pred_box = self.pred_box
+        if constr_mat is self.constr_mat and constr_rhs is self.constr_rhs:
+            star._start = self._start
         return star
+
+    def _lp_max(self, objective):
+        """lp_max of objective over the predicate polytope, from the
+        star's phase-1 start (built here on first use)."""
+        if self._start is None:
+            self._start = phase_one(self.constr_mat, self.constr_rhs)
+        return lp_max(objective, self.constr_mat, self.constr_rhs,
+                      start=self._start)
 
     def affine(self, W, b):
         W = np.atleast_2d(np.asarray(W, dtype=float))
@@ -103,7 +117,7 @@ class Star:
         off = self.center[i]
         if not np.any(np.abs(row) > 0.0):
             return off, self.point
-        res = lp_max(sign * row, self.constr_mat, self.constr_rhs)
+        res = self._lp_max(sign * row)
         if not res.optimal:
             return sign * np.inf, None
         return off + sign * res.value, res.point
@@ -148,19 +162,19 @@ def _with_pred_box(star):
     """A copy of star with its predicate box and a feasible point filled in.
 
     A missing box costs 2p LPs, one per predicate bound; a missing point
-    costs one.
+    costs one. All of them share one phase 1.
     """
     p = star.basis.shape[1]
-    A, d = star.constr_mat, star.constr_rhs
-    out = star._derive(star.center, star.basis, A, d, star.point)
+    out = star._derive(star.center, star.basis, star.constr_mat,
+                       star.constr_rhs, star.point)
     if out.pred_box is None:
         eye = np.eye(p)
-        highs = [lp_max(e, A, d) for e in eye]
-        lows = [lp_max(-e, A, d) for e in eye]
+        highs = [out._lp_max(e) for e in eye]
+        lows = [out._lp_max(-e) for e in eye]
         out.pred_box = (np.array([-r.value if r.optimal else -np.inf for r in lows]),
                         np.array([r.value if r.optimal else np.inf for r in highs]))
     if out.point is None:
-        out.point = lp_max(np.zeros(p), A, d).point
+        out.point = out._lp_max(np.zeros(p)).point
     return out
 
 
@@ -209,8 +223,13 @@ def reach_stars(net, star, star_cap=DEFAULT_STAR_CAP):
     if star_cap < 1:
         raise ValueError("star_cap must be >= 1")
     stars = [_with_pred_box(star)]
-    for lay in net.layers:
-        stars = [s.affine(lay.weights, lay.bias) for s in stars]
+    for k, lay in enumerate(net.layers):
+        with np.errstate(over="ignore", invalid="ignore"):
+            stars = [s.affine(lay.weights, lay.bias) for s in stars]
+        if not all(np.isfinite(s.center).all() and np.isfinite(s.basis).all()
+                   for s in stars):
+            raise NumericError(f"star overflowed: non-finite centre or basis "
+                               f"after layer {k}")
         for i in np.flatnonzero(lay.relu_mask):
             nxt = []
             for s in stars:

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from nnbisim import (Box, Layer, MergePreconditionError, Network,
-                     bisim_error_lower_mc, bisim_error_upper, check_assured,
-                     random_network)
+from nnbisim import (Box, LinearSpec, Layer, MergePreconditionError, Network,
+                     NumericError, bisim_error_lower_mc, bisim_error_upper,
+                     check_assured, random_network, verify)
 from nnbisim.bisim import ErrorBound
 from conftest import constant_net, random_pair
 
@@ -144,6 +144,9 @@ class TestErrorBound:
         with pytest.raises(ValueError, match="epsilon_upper must be finite"):
             ErrorBound(epsilon_upper=eps, epsilon_lower=0.0, method="interval",
                        norm="inf", wall_time_seconds=0.0)
+        with pytest.raises(NumericError):
+            ErrorBound(epsilon_upper=eps, epsilon_lower=0.0, method="interval",
+                       norm="inf", wall_time_seconds=0.0)
 
     def test_exact_reports_matching_lower(self):
         big, small, box = random_pair(21)
@@ -173,3 +176,46 @@ class TestNonFiniteBox:
                            match="box upper bound must be finite, found inf at index 1"):
             bisim_error_lower_mc(self.big, self.small,
                                  Box([0.0, 0.0], [1.0, np.inf]), 100, seed=0)
+
+
+def huge_net(seed):
+    """A random [2, 4, 3, 1] net with every weight scaled by 1e300: finite,
+    but its outputs overflow double precision."""
+    net = random_network([2, 4, 3, 1], 1.0, seed=seed)
+    return Network(2, [Layer(1e300 * lay.weights, lay.bias, lay.activations)
+                       for lay in net.layers])
+
+
+class TestOverflow:
+    box = Box([-1.0, -1.0], [1.0, 1.0])
+
+    def test_numeric_error_is_arithmetic_and_value_error(self):
+        assert issubclass(NumericError, ArithmeticError)
+        assert issubclass(NumericError, ValueError)
+
+    @pytest.mark.parametrize("method", ["interval", "split", "exact"])
+    def test_upper_raises_numeric_error(self, method):
+        small = random_network([2, 2, 1], 1.0, seed=2)
+        with pytest.raises(NumericError, match="overflowed"):
+            bisim_error_upper(huge_net(1), small, self.box, method=method)
+
+    @pytest.mark.parametrize("method", ["interval", "split", "exact"])
+    def test_verify_raises_numeric_error(self, method):
+        spec = LinearSpec([([[1.0]], [-2.0])])
+        with pytest.raises(NumericError, match="overflowed"):
+            verify(huge_net(1), self.box, spec, method=method)
+
+    def test_mc_overflow_in_one_chunk_raises_for_any_jobs(self):
+        # Both nets overflow to inf for x > 0.9, so the difference there is
+        # inf - inf = nan; elsewhere it is -1. With seed 2 one of 20 samples
+        # lands there, in the second half: a plain max over the two chunk
+        # maxima would drop it (max(-1.0, nan) == -1.0).
+        def net(bias):
+            return Network(1, [Layer.relu([[1e300]], [-0.9e300]),
+                               Layer.linear([[1e300]], [bias])])
+        big, small, box = net(0.0), net(1.0), Box([-1.0], [1.0])
+        X = box.sample(np.random.default_rng(2), 20)
+        assert np.all(X[:10] < 0.9) and np.any(X[10:] > 0.9)
+        for jobs in (1, 2):
+            with pytest.raises(NumericError, match="not finite"):
+                bisim_error_lower_mc(big, small, box, 20, seed=2, jobs=jobs)

@@ -41,6 +41,17 @@ def run_cli(*args):
                           capture_output=True, text=True, env=CLI_ENV)
 
 
+def huge_json(workdir):
+    """The fixture's big net with every weight scaled by 1e300: finite, but
+    its outputs overflow double precision."""
+    obj = json.loads((workdir / "big.json").read_text())
+    for lay in obj["layers"]:
+        lay["weights"] = [[1e300 * w for w in row] for row in lay["weights"]]
+    path = workdir / "huge.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
 @pytest.fixture
 def workdir(tmp_path):
     (tmp_path / "mini.nnet").write_text(MINIMAL_NNET)
@@ -158,6 +169,28 @@ class TestNonFiniteInput:
         assert res.returncode == 2
         assert res.stdout == ""
         assert "input: box lower bound 0 is nan" in res.stderr
+
+    @pytest.mark.parametrize("flags", [["--method", "interval"],
+                                       ["--method", "split"],
+                                       ["--method", "exact"],
+                                       ["--mc", "1000"]])
+    def test_overflowing_weights_exit_1(self, workdir, flags):
+        res = run_cli("bisim", huge_json(workdir), str(workdir / "small.json"),
+                      str(workdir / "problem.json"), *flags)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert "overflowed" in res.stderr
+
+    @pytest.mark.parametrize("method", ["interval", "split", "exact"])
+    def test_overflowing_weights_report_exit_1(self, workdir, method):
+        manifest = workdir / "huge_manifest.json"
+        manifest.write_text(json.dumps([{"id": "huge", "large": huge_json(workdir),
+                                         "small": str(workdir / "small.json")}]))
+        res = run_cli("report", str(manifest), str(workdir / "problem.json"),
+                      "--method", method)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert "overflowed" in res.stderr
 
     def test_infinite_box_bound_rejected(self, workdir):
         prob = workdir / "infbox.json"

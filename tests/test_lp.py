@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from nnbisim import DegenerateLPError, lp_feasible, lp_max
+from nnbisim import DegenerateLPError, lp_feasible, lp_max, phase_one
 from nnbisim.lp import INFEASIBLE, OPTIMAL, UNBOUNDED
 
 
@@ -45,6 +47,27 @@ class TestDegenerate:
     def test_tiny_pivot_raises(self):
         with pytest.raises(DegenerateLPError):
             lp_max([1.0], [[1e-12]], [1.0])
+
+    def test_tiny_entry_that_the_step_would_violate_raises(self):
+        # x <= 1e4 sets the step; 1e-12 x <= 0 would then be off by 1e-8.
+        with pytest.raises(DegenerateLPError):
+            lp_max([1.0], [[1.0], [1e-12]], [1e4, 0.0])
+
+    # The unit box cut by one badly scaled row through the origin. Bland's
+    # rule used to pick the row's tiny entry as the pivot and give up; the
+    # step set by the other rows moves that row by at most ~1e-12.
+    @pytest.mark.parametrize("cut", [[1e-12, 1.0], [1.0, 1e-12], [3e-12, 0.5]])
+    @pytest.mark.parametrize("objective", [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0],
+                                           [1.0, 1.0], [-0.5, 2.0]])
+    def test_tiny_entry_beside_larger_ones(self, cut, objective):
+        A = np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], cut])
+        d = np.array([1.0, 1.0, 1.0, 1.0, 0.0])
+        res = lp_max(objective, A, d)
+        ref = linprog(-np.array(objective), A_ub=A, b_ub=d,
+                      bounds=[(None, None)] * 2, method="highs")
+        assert res.status == OPTIMAL and ref.status == 0
+        assert res.value == pytest.approx(-ref.fun, abs=1e-9)
+        assert np.all(A @ res.point <= d + 1e-9)
 
 
 class TestFeasible:
@@ -91,3 +114,87 @@ class TestAgainstScipy:
         second = lp_max(c, A, d)
         assert first.value == second.value
         assert np.array_equal(first.point, second.point)
+
+
+def outcome(objective, A, d, start=None):
+    """An LP's result as comparable data, or the error it raised."""
+    try:
+        res = lp_max(objective, A, d, start=start)
+    except DegenerateLPError as exc:
+        return ("raised", str(exc))
+    point = None if res.point is None else res.point.tobytes()
+    return (res.status, np.float64(res.value).tobytes(), point)
+
+
+@st.composite
+def lp_system(draw):
+    """Small systems A x <= d: quarter-step coefficients, right-hand sides
+    of either sign, duplicate and scaled (redundant) rows, and optionally a
+    pair of rows that contradict each other (infeasible)."""
+    n = draw(st.integers(1, 3))
+    coef = st.integers(-8, 8).map(lambda k: k / 4.0)
+    rows = draw(st.lists(st.lists(coef, min_size=n, max_size=n),
+                         min_size=1, max_size=6))
+    rhs = draw(st.lists(st.integers(-6, 6).map(lambda k: k / 4.0),
+                        min_size=len(rows), max_size=len(rows)))
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(rows) - 1))
+        scale = draw(st.sampled_from([1.0, 2.0]))
+        slack = draw(st.sampled_from([0.0, 0.5]))
+        rows.append([scale * v for v in rows[k]])
+        rhs.append(scale * rhs[k] + slack)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(rows) - 1))
+        rows.append([-v for v in rows[k]])
+        rhs.append(-rhs[k] - draw(st.sampled_from([0.0, 1.0])))
+    objectives = draw(st.lists(st.lists(coef, min_size=n, max_size=n),
+                               min_size=2, max_size=4))
+    return np.array(rows), np.array(rhs), np.array(objectives)
+
+
+class TestPhaseOneReuse:
+    @settings(max_examples=200, deadline=None)
+    @given(lp_system())
+    def test_shared_start_matches_fresh_solves(self, system):
+        A, d, objectives = system
+        fresh = [outcome(c, A, d) for c in objectives]
+        try:
+            start = phase_one(A, d)
+        except DegenerateLPError:
+            assert all(o[0] == "raised" for o in fresh)
+            return
+        if start.feasible:
+            tableau, basis = start.tableau.copy(), start.basis.copy()
+        for order in (objectives, objectives[::-1]):
+            shared = [outcome(c, A, d, start) for c in order]
+            want = fresh if order is objectives else fresh[::-1]
+            assert shared == want
+        assert not start.feasible or (np.array_equal(start.tableau, tableau)
+                                      and np.array_equal(start.basis, basis))
+        if all(o[0] == INFEASIBLE for o in fresh):
+            assert not start.feasible
+
+    def test_start_is_read_only(self):
+        start = phase_one([[1.0], [-1.0]], [2.0, -1.0])
+        with pytest.raises(ValueError):
+            start.tableau[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            start.basis[0] = 0
+
+    def test_start_from_other_arrays_rejected(self):
+        A = np.array([[1.0], [-1.0]])
+        d = np.array([2.0, -1.0])
+        start = phase_one(A, d)
+        assert lp_max([1.0], A, d, start=start).value == pytest.approx(2.0)
+        # Equal content is not enough: the start is tied to the objects.
+        with pytest.raises(ValueError, match="different constraint system"):
+            lp_max([1.0], A.copy(), d, start=start)
+        with pytest.raises(ValueError, match="different constraint system"):
+            lp_max([1.0], A, d.copy(), start=start)
+
+    def test_infeasible_start(self):
+        A = np.array([[1.0], [-1.0]])
+        d = np.array([-1.0, -2.0])
+        start = phase_one(A, d)
+        assert not start.feasible
+        assert lp_max([1.0], A, d, start=start).status == INFEASIBLE

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nnbisim.lp
 import nnbisim.star
 from nnbisim import (IDENTITY, OPTIMAL, RELU, Box, Layer, LinearSpec, LPResult,
                      Network, ResourceLimitError, Star, Verdict, bisim_error_upper,
@@ -61,7 +62,7 @@ class TestStarInvariants:
         # range must come back ordered, and the bounding box must build.
         star = Star([0.0], [[1e-9]], [[1.0], [-1.0]], [1.0, 1.0], check=False)
         monkeypatch.setattr(nnbisim.star, "lp_max",
-                            lambda c, A, d: LPResult(OPTIMAL, -1e-17, None))
+                            lambda c, A, d, **kw: LPResult(OPTIMAL, -1e-17, None))
         assert star.coord_range(0) == (-1e-17, 1e-17)
         box = star.bounding_box()
         assert box.lower[0] == -1e-17 and box.upper[0] == 1e-17
@@ -272,6 +273,16 @@ def input_star(draw, box):
                 np.append(star.constr_rhs, b))
 
 
+def baseline_pair():
+    """The ROADMAP baseline pair, its box and its reference max-norm epsilon."""
+    big = random_network([2, 10, 10, 1], 1.0, seed=7)
+    small = random_network([2, 4, 1], 1.0, seed=8)
+    box = Box([-1.0, -1.0], [1.0, 1.0])
+    ref = reference_sup_norm(
+        reference_reach_stars(merge(big, small), box_to_star(box)), "inf")
+    return big, small, box, ref
+
+
 class TestPrunedMatchesReference:
     """The LP-pruned back-end gives the stars of two LPs per ReLU decision."""
 
@@ -306,16 +317,35 @@ class TestPrunedMatchesReference:
         assert got.status == ref.status
         assert np.array_equal(got.witness, ref.witness)
 
+    def test_phase_one_once_per_constraint_set(self, monkeypatch):
+        big, small, box, ref = baseline_pair()
+        calls, systems, runs = [], set(), []
+        real_lp, real_phase_one = nnbisim.star.lp_max, nnbisim.lp.phase_one
+
+        def counted_lp(c, A, d, **kw):
+            calls.append(1)
+            systems.add((A.shape, A.tobytes(), d.tobytes()))
+            return real_lp(c, A, d, **kw)
+
+        def counted_phase_one(A, d):
+            runs.append(1)
+            return real_phase_one(A, d)
+
+        monkeypatch.setattr(nnbisim.star, "lp_max", counted_lp)
+        monkeypatch.setattr(nnbisim.star, "phase_one", counted_phase_one)
+        monkeypatch.setattr(nnbisim.lp, "phase_one", counted_phase_one)
+        bound = bisim_error_upper(big, small, box, method="exact")
+        # Sharing phase 1 changes no LP: the same 774 calls on 201 systems.
+        assert len(calls) == 774
+        assert 0 < len(runs) <= len(systems)
+        assert bound.epsilon_upper == ref
+
     def test_lp_count_on_baseline_pair(self, monkeypatch):
-        big = random_network([2, 10, 10, 1], 1.0, seed=7)
-        small = random_network([2, 4, 1], 1.0, seed=8)
-        box = Box([-1.0, -1.0], [1.0, 1.0])
-        ref = reference_sup_norm(
-            reference_reach_stars(merge(big, small), box_to_star(box)), "inf")
+        big, small, box, ref = baseline_pair()
         calls = []
         real = nnbisim.star.lp_max
         monkeypatch.setattr(nnbisim.star, "lp_max",
-                            lambda c, A, d: calls.append(1) or real(c, A, d))
+                            lambda c, A, d, **kw: calls.append(1) or real(c, A, d, **kw))
         bound = bisim_error_upper(big, small, box, method="exact")
         # Two LPs per decision and per output bound make 2122 calls.
         assert len(calls) <= 1061
