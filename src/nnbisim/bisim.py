@@ -4,6 +4,11 @@ The error is the supremum over the input set of the normed output
 difference. Upper bounds come from reachability analysis of the merged
 difference network; Monte-Carlo sampling of the difference gives a valid
 lower bound and serves as an independent cross-check.
+
+reach is where a back-end is chosen, for the error bound here and for
+safety verification alike. It returns an interval.BoxBatch (interval and
+split) or a star.StarSet (exact); both give closed-form outer bounds,
+sup_norm, an LP intersection test and the witness-search centres.
 """
 
 from concurrent.futures import ThreadPoolExecutor
@@ -13,16 +18,20 @@ from time import perf_counter
 import numpy as np
 
 from .errors import NumericError
-from .interval import SplitConfig, reach_box, reach_box_split
+from .interval import reach_box_split
 from .merge import merge
-from .norms import LINF, batch_norms, check_norm, sup_norm_box
-from .star import DEFAULT_STAR_CAP, box_to_star, reach_stars, star_sup_norm
+from .norms import LINF, batch_norms, check_norm
+from .star import DEFAULT_STAR_CAP, box_to_star, reach_stars
 
 METHOD_INTERVAL = "interval"
 METHOD_SPLIT = "split"
 METHOD_EXACT = "exact"
 METHODS = (METHOD_INTERVAL, METHOD_SPLIT, METHOD_EXACT)
+DEFAULT_METHOD = METHOD_INTERVAL
 DEFAULT_SPLITS = 4
+# The compressed path defaults to split: one interval cell is rarely tight
+# enough for a Safe verdict to lift.
+DEFAULT_COMPRESSED_METHOD = METHOD_SPLIT
 
 
 @dataclass
@@ -46,36 +55,46 @@ class ErrorBound:
             raise ValueError("epsilon_lower exceeds epsilon_upper")
 
 
-def bisim_error_upper(net_big, net_small, box, method=METHOD_INTERVAL,
-                      norm=LINF, splits=None, star_cap=DEFAULT_STAR_CAP):
-    """Certified upper bound on sup_x ||big(x) - small(x)|| over the box.
+def reach(net, box, method, splits=None, star_cap=DEFAULT_STAR_CAP):
+    """Outer bound of net's output set over box, by the named back-end.
 
     method:
-      "interval"  one interval pass over the merged network (fast, loose)
-      "split"     interval pass over all grid cells at once, `splits` cells
-                  per dimension
-      "exact"     star-set reachability; exact in the max norm
+      "interval"  one interval pass (the one-cell grid; fast, loose)
+      "split"     interval pass over all cells of a uniform grid at once,
+                  `splits` cells per dimension
+      "exact"     star-set reachability; exact
+    Returns a BoxBatch for the first two and a StarSet for exact; label
+    names the back-end.
     """
-    check_norm(norm)
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     box.require_finite()
-    t0 = perf_counter()
-    merged = merge(net_big, net_small)
-    if method == METHOD_INTERVAL:
-        eps = sup_norm_box(reach_box(merged, box), norm)
-        desc = "interval"
+    if method == METHOD_EXACT:
+        reached = reach_stars(net, box_to_star(box), star_cap=star_cap)
+        reached.label = "exact-star"
     elif method == METHOD_SPLIT:
         k = DEFAULT_SPLITS if splits is None else int(splits)
-        eps = sup_norm_box(reach_box_split(merged, box, SplitConfig(k)), norm)
-        desc = f"interval-split({k})"
+        reached = reach_box_split(net, box, k)
+        reached.label = f"interval-split({k})"
     else:
-        stars = reach_stars(merged, box_to_star(box), star_cap=star_cap)
-        eps = star_sup_norm(stars, norm)
-        desc = "exact-star"
+        reached = reach_box_split(net, box, 1)
+        reached.label = METHOD_INTERVAL
+    return reached
+
+
+def bisim_error_upper(net_big, net_small, box, method=DEFAULT_METHOD,
+                      norm=LINF, splits=None, star_cap=DEFAULT_STAR_CAP):
+    """Certified upper bound on sup_x ||big(x) - small(x)|| over the box,
+    from reach on the merged network; exact in the max norm with the
+    exact method."""
+    check_norm(norm)
+    t0 = perf_counter()
+    reached = reach(merge(net_big, net_small), box, method, splits, star_cap)
+    eps = reached.sup_norm(norm)
     lower = eps if (method == METHOD_EXACT and norm == LINF) else 0.0
-    return ErrorBound(epsilon_upper=eps, epsilon_lower=lower, method=desc,
-                      norm=norm, wall_time_seconds=perf_counter() - t0)
+    return ErrorBound(epsilon_upper=eps, epsilon_lower=lower,
+                      method=reached.label, norm=norm,
+                      wall_time_seconds=perf_counter() - t0)
 
 
 def bisim_error_lower_mc(net_big, net_small, box, samples, seed, norm=LINF,
@@ -108,16 +127,3 @@ def bisim_error_lower_mc(net_big, net_small, box, samples, seed, norm=LINF,
         raise NumericError(f"sampled output difference is not finite: {lower}")
     return float(lower)
 
-
-def check_assured(net_big, net_small, box, eps, method=METHOD_INTERVAL,
-                  norm=LINF, splits=None, star_cap=DEFAULT_STAR_CAP):
-    """True when the certified error bound is at most eps.
-
-    Sufficient condition: with a non-exact method a False answer says
-    nothing about the true error.
-    """
-    if eps < 0:
-        raise ValueError("eps must be nonnegative")
-    bound = bisim_error_upper(net_big, net_small, box, method=method,
-                              norm=norm, splits=splits, star_cap=star_cap)
-    return bound.epsilon_upper <= eps

@@ -17,11 +17,12 @@ import os
 import sys
 from time import perf_counter
 
-from .bisim import bisim_error_lower_mc, bisim_error_upper
+from .bisim import (DEFAULT_METHOD, DEFAULT_SPLITS, METHODS,
+                    bisim_error_lower_mc, bisim_error_upper)
 from .errors import MergePreconditionError, ParseError, ResourceLimitError
 from .formats import parse_json_net, parse_nnet, parse_problem, write_json_net
 from .merge import merge
-from .network import RELU
+from .norms import LINF, NORMS
 from .safety import (SAFE, UNSAFE, report_csv, report_table, verify,
                      verify_via_compressed)
 from .star import DEFAULT_STAR_CAP
@@ -32,8 +33,6 @@ EXIT_PARSE = 2
 EXIT_MERGE = 3
 EXIT_UNSAFE = 4
 EXIT_UNCERTAIN = 5
-
-_NORM_FLAGS = {"inf": "inf", "l2": "l2"}
 
 
 def _load_network(path):
@@ -55,10 +54,9 @@ def _load_problem(path):
 
 def _resolve(args, options):
     """Settings precedence: explicit flag > problem file > default."""
-    method = args.method or options.get("method", "interval")
-    splits = args.splits if args.splits is not None else options.get("splits", 4)
-    norm_flag = getattr(args, "norm", None)
-    norm = _NORM_FLAGS[norm_flag] if norm_flag else options.get("norm", "inf")
+    method = args.method or options.get("method", DEFAULT_METHOD)
+    splits = args.splits if args.splits is not None else options.get("splits", DEFAULT_SPLITS)
+    norm = getattr(args, "norm", None) or options.get("norm", LINF)
     return method, splits, norm
 
 
@@ -179,11 +177,11 @@ def cmd_report(args):
 
 
 def _add_backend_flags(p, with_norm=False):
-    p.add_argument("--method", choices=["interval", "split", "exact"],
+    p.add_argument("--method", choices=METHODS,
                    help="reachability back-end (default from problem file, else interval)")
     p.add_argument("--splits", type=int, help="cells per input dimension for --method split")
     if with_norm:
-        p.add_argument("--norm", choices=["inf", "l2"], help="output norm (default inf)")
+        p.add_argument("--norm", choices=NORMS, help="output norm (default inf)")
     p.add_argument("--seed", type=int, default=42, help="seed for sampling (default 42)")
     p.add_argument("--star-cap", type=int, default=DEFAULT_STAR_CAP,
                    help="abort exact reachability beyond this many stars")
@@ -229,7 +227,7 @@ def build_parser():
     p.add_argument("--csv", metavar="PATH", help="write CSV here ('-' for stdout)")
     p.add_argument("--also-large", action="store_true",
                    help="also verify the large networks directly")
-    p.add_argument("--large-method", choices=["interval", "split", "exact"],
+    p.add_argument("--large-method", choices=METHODS,
                    help="back-end for the direct large-network runs")
     p.add_argument("--large-splits", type=int,
                    help="cells per dimension for the direct large-network runs")

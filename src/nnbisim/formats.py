@@ -18,8 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bisim import METHODS
 from .errors import ParseError
 from .network import IDENTITY, RELU, Box, Layer, Network, validate
+from .norms import NORMS
 from .safety import LinearSpec
 
 
@@ -342,14 +344,13 @@ def parse_problem(text):
     spec = LinearSpec(polytopes)
 
     options = {}
-    if "norm" in obj:
-        if obj["norm"] not in ("inf", "l2"):
-            raise ParseError("must be 'inf' or 'l2'", location="norm")
-        options["norm"] = obj["norm"]
-    if "method" in obj:
-        if obj["method"] not in ("interval", "split", "exact"):
-            raise ParseError("must be 'interval', 'split' or 'exact'", location="method")
-        options["method"] = obj["method"]
+    for key, names in (("norm", NORMS), ("method", METHODS)):
+        if key in obj:
+            if obj[key] not in names:
+                quoted = [repr(n) for n in names]
+                raise ParseError(f"must be {', '.join(quoted[:-1])} or {quoted[-1]}",
+                                 location=key)
+            options[key] = obj[key]
     if "splits" in obj:
         if not isinstance(obj["splits"], int) or obj["splits"] < 1:
             raise ParseError("must be a positive integer", location="splits")

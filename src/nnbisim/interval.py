@@ -10,7 +10,10 @@ matrix products against the positive and negative parts of its weights,
 followed by ReLU on the ReLU columns (Gowal et al., "On the Effectiveness
 of Interval Bound Propagation for Training Verifiably Robust Models",
 2018). A uniform grid split is just a larger batch, so splitting costs a
-few matrix products per layer rather than Python work per cell.
+few matrix products per layer rather than Python work per cell, and the
+plain interval pass is the one-cell grid. bisim.reach returns this batch
+for the interval and split methods; it has the members of star.StarSet
+(lower, upper, sup_norm, intersects, centers).
 
 Sound but dependency-losing over-approximation of output reachable sets.
 Bounds are computed in plain double arithmetic without outward rounding,
@@ -18,42 +21,35 @@ so soundness claims hold up to floating-point error.
 """
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericError, ResourceLimitError, ShapeError
+from .lp import lp_feasible
 from .network import Box
+from .norms import sup_norm_box
 
 DEFAULT_CELL_CAP = 10**6
-
-
-@dataclass(frozen=True)
-class SplitConfig:
-    """Uniform grid refinement: each input dimension is cut into k cells."""
-
-    cells_per_dim: int
-    max_cells: int = DEFAULT_CELL_CAP
-
-    def __post_init__(self):
-        if self.cells_per_dim < 1:
-            raise ValueError("cells_per_dim must be >= 1")
-        if self.max_cells < 1:
-            raise ValueError("max_cells must be >= 1")
 
 
 class BoxBatch(Sequence):
     """n boxes of one dimension, stored as (n, dim) lower/upper arrays.
 
     Indexing gives the i-th box as a Box, so a batch reads as a list of
-    boxes; the arrays are for whole-batch arithmetic.
+    boxes; the arrays are for whole-batch arithmetic. centers holds one
+    input point per box: the centre of the grid cell it bounds (for a
+    batch of input cells, their own centres). The witness search tries
+    these points first.
     """
 
-    def __init__(self, lower, upper):
+    label = None  # the back-end that computed the batch, set by bisim.reach
+
+    def __init__(self, lower, upper, centers=None):
         self.lower = np.asarray(lower, dtype=float)
         self.upper = np.asarray(upper, dtype=float)
         if self.lower.ndim != 2 or self.lower.shape != self.upper.shape:
             raise ShapeError("batch bounds must be two (n, dim) arrays of one shape")
+        self.centers = (self.lower + self.upper) / 2.0 if centers is None else centers
 
     def __len__(self):
         return self.lower.shape[0]
@@ -61,37 +57,15 @@ class BoxBatch(Sequence):
     def __getitem__(self, i):
         return Box(self.lower[i], self.upper[i])
 
-    def center(self):
-        """Box centers, one row per box."""
-        return (self.lower + self.upper) / 2.0
+    def sup_norm(self, norm):
+        """Largest sup of ||y|| over the boxes (exact for both norms)."""
+        return sup_norm_box(self, norm)
 
-
-def affine_bounds(W, b, box):
-    """Bounds of {W x + b : x in box}, row by row.
-
-    Each row picks box.lower where the weight is nonnegative and box.upper
-    where it is negative (and the mirror for the upper bound).
-    """
-    W = np.atleast_2d(np.asarray(W, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    if W.shape[1] != len(box):
-        raise ShapeError(f"weight cols {W.shape[1]} != box length {len(box)}")
-    nonneg = W >= 0
-    lo_pick = np.where(nonneg, box.lower, box.upper)
-    hi_pick = np.where(nonneg, box.upper, box.lower)
-    lower = b + (W * lo_pick).sum(axis=1)
-    upper = b + (W * hi_pick).sum(axis=1)
-    return Box(lower, upper)
-
-
-def act_bounds(relu_mask, box):
-    """Apply per-neuron activations to an interval vector."""
-    relu_mask = np.asarray(relu_mask, dtype=bool)
-    if relu_mask.shape[0] != len(box):
-        raise ShapeError("activation vector length != box length")
-    lower = np.where(relu_mask, np.maximum(box.lower, 0.0), box.lower)
-    upper = np.where(relu_mask, np.maximum(box.upper, 0.0), box.upper)
-    return Box(lower, upper)
+    def intersects(self, i, A, d):
+        """True when box i meets {y : A y <= d}, by one LP."""
+        eye = np.eye(self.lower.shape[1])
+        return lp_feasible(np.vstack([A, eye, -eye]),
+                           np.concatenate([d, self.upper[i], -self.lower[i]]))
 
 
 def _finite(*arrays):
@@ -118,25 +92,18 @@ def _propagate(net, lower, upper):
     return lower, upper
 
 
-def reach_box(net, box):
-    """Interval over-approximation of the output reachable set."""
-    if len(box) != net.input_dim:
-        raise ShapeError(f"box length {len(box)} != input_dim {net.input_dim}")
-    lower, upper = _propagate(net, box.lower[None, :], box.upper[None, :])
-    return Box(lower[0], upper[0])
-
-
-def split_box(box, cfg):
-    """Partition a box into cfg.cells_per_dim**dim congruent cells.
+def split_box(box, k):
+    """Partition a box into k**dim congruent cells.
 
     Cells come in grid order, the last dimension varying fastest (the
     order of itertools.product over the per-dimension cell indices).
     """
-    k = cfg.cells_per_dim
+    if k < 1:
+        raise ValueError("cells_per_dim must be >= 1")
     dim = len(box)
-    if k**dim > cfg.max_cells:
+    if k**dim > DEFAULT_CELL_CAP:
         raise ResourceLimitError(
-            f"{k}^{dim} cells exceeds the cap of {cfg.max_cells}")
+            f"{k}^{dim} cells exceeds the cap of {DEFAULT_CELL_CAP}")
     idx = np.indices((k,) * dim).reshape(dim, -1)
     lower = np.empty((k**dim, dim))
     upper = np.empty((k**dim, dim))
@@ -147,12 +114,14 @@ def split_box(box, cfg):
     return BoxBatch(lower, upper)
 
 
-def reach_box_split(net, box, cfg):
-    """reach_box on every cell of the uniform grid; union covers the truth.
+def reach_box_split(net, box, k):
+    """Interval bounds of every cell of the uniform k-per-dimension grid;
+    their union covers the output set. k = 1 is the plain interval pass.
 
-    Returns the output boxes as a BoxBatch in grid order.
+    Returns the output boxes as a BoxBatch in grid order, each with the
+    centre of its input cell.
     """
     if len(box) != net.input_dim:
         raise ShapeError(f"box length {len(box)} != input_dim {net.input_dim}")
-    cells = split_box(box, cfg)
-    return BoxBatch(*_propagate(net, cells.lower, cells.upper))
+    cells = split_box(box, k)
+    return BoxBatch(*_propagate(net, cells.lower, cells.upper), cells.centers)

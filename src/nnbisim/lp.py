@@ -236,7 +236,18 @@ def lp_max(objective, A, d, start=None):
 
 
 def lp_feasible(A, d):
-    """True when {x : A x <= d} is nonempty (within the solver tolerance)."""
+    """True when {x : A x <= d} is nonempty (within the solver tolerance).
+
+    Each row is first divided by its largest coefficient, so that the
+    absolute tolerances of phase 1 act relative to the row: a feasible row
+    with coefficients near 1e-10 would otherwise stall phase 1 and read as
+    infeasible.
+    """
     A = np.asarray(A, dtype=float)
+    d = np.atleast_1d(np.asarray(d, dtype=float))
     n = A.shape[1] if A.ndim == 2 else 0
+    if A.size:
+        scale = np.abs(A).max(axis=1)
+        scale[scale == 0.0] = 1.0
+        A, d = A / scale[:, None], d / scale
     return lp_max(np.zeros(n), A, d).optimal

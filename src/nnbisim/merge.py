@@ -10,7 +10,7 @@ layer subtracts the two output blocks.
 
 import numpy as np
 
-from .errors import MergePreconditionError, ShapeError, UnsupportedShapeError
+from .errors import MergePreconditionError, UnsupportedShapeError
 from .network import IDENTITY, Layer, Network
 
 
@@ -90,11 +90,3 @@ def merge(net_big, net_small):
     ))
     return Network(net_big.input_dim, layers)
 
-
-def difference_eval(net_big, net_small, x):
-    """big(x) - small(x); the independent oracle for merge."""
-    if net_big.input_dim != net_small.input_dim:
-        raise ShapeError("networks have different input dimensions")
-    if net_big.output_dim != net_small.output_dim:
-        raise ShapeError("networks have different output dimensions")
-    return net_big.forward(x) - net_small.forward(x)

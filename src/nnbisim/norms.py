@@ -18,14 +18,6 @@ def check_norm(norm):
     return norm
 
 
-def vector_norm(y, norm=LINF):
-    y = np.asarray(y, dtype=float)
-    if norm == LINF:
-        return float(np.max(np.abs(y))) if y.size else 0.0
-    check_norm(norm)
-    return float(np.linalg.norm(y))
-
-
 def batch_norms(Y, norm=LINF):
     """Row-wise norms of a (n, dim) array."""
     if norm == LINF:

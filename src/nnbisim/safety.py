@@ -4,7 +4,8 @@ The unsafe region is a union of halfspace conjunctions over the output
 space. A network is safe when its output reachable set misses every
 unsafe polytope; verification over-approximates the reachable set, so the
 three-valued verdict is Safe / Unsafe (with a concrete witness) /
-Uncertain.
+Uncertain. Every method goes through bisim.reach; verification reads only
+the members that its two kinds of reach set share.
 
 Verifying through a compressed stand-in works by inflating the unsafe
 region by the certified bisimulation error: a Safe verdict on the small
@@ -16,13 +17,12 @@ from time import perf_counter
 
 import numpy as np
 
-from .bisim import (DEFAULT_SPLITS, METHOD_EXACT, METHOD_INTERVAL,
-                    METHOD_SPLIT, METHODS, bisim_error_upper)
+from .bisim import (DEFAULT_COMPRESSED_METHOD, DEFAULT_METHOD,
+                    bisim_error_upper, reach)
 from .errors import ShapeError
-from .interval import SplitConfig, reach_box_split, split_box
-from .lp import FEAS_TOL, lp_feasible
+from .lp import FEAS_TOL
 from .norms import LINF, check_norm, dual_norm
-from .star import DEFAULT_STAR_CAP, box_to_star, reach_stars, star_bounds
+from .star import DEFAULT_STAR_CAP
 
 SAFE = "Safe"
 UNSAFE = "Unsafe"
@@ -94,69 +94,41 @@ def _check_spec_dim(net, spec):
                 f"spec constraints over {A.shape[1]} outputs, network has {net.output_dim}")
 
 
-def _box_intersects(box, A, d):
-    n = len(box)
-    eye = np.eye(n)
-    M = np.vstack([A, eye, -eye])
-    rhs = np.concatenate([d, box.upper, -box.lower])
-    return lp_feasible(M, rhs)
+def _clear(reached, spec):
+    """True when every set of a reach set misses every unsafe polytope.
 
-
-def _star_intersects(star, A, d):
-    M = np.vstack([star.constr_mat, A @ star.basis])
-    rhs = np.concatenate([star.constr_rhs, d - A @ star.center])
-    return lp_feasible(M, rhs)
-
-
-def _clear(lower, upper, spec, intersects):
-    """True when every set of a batch misses every unsafe polytope.
-
-    lower and upper are (n, dim) outer bounds of the n sets. min over such
-    a box of a.y is lower @ A+^T + upper @ A-^T for all rows at once; a set
-    on which some row's minimum exceeds d + FEAS_TOL misses that polytope
-    outright. Only the sets left over go to intersects(i, A, d), the LP.
+    reached.lower and .upper are (n, dim) outer bounds of the n sets. min
+    over such a box of a.y is lower @ A+^T + upper @ A-^T for all rows at
+    once; a set on which some row's minimum exceeds d + FEAS_TOL misses
+    that polytope outright. Only the sets left over go to
+    reached.intersects(i, A, d), the LP.
     """
     for A, d in spec.unsafe_polytopes:
-        row_min = (lower @ np.maximum(A, 0.0).T
-                   + upper @ np.minimum(A, 0.0).T)
+        row_min = (reached.lower @ np.maximum(A, 0.0).T
+                   + reached.upper @ np.minimum(A, 0.0).T)
         missed = np.any(row_min > d + FEAS_TOL, axis=1)
-        if any(intersects(i, A, d) for i in np.flatnonzero(~missed)):
+        if any(reached.intersects(i, A, d) for i in np.flatnonzero(~missed)):
             return False
     return True
 
 
-def verify(net, box, spec, method=METHOD_INTERVAL, splits=None,
+def verify(net, box, spec, method=DEFAULT_METHOD, splits=None,
            star_cap=DEFAULT_STAR_CAP, seed=DEFAULT_SEED):
     """Three-valued safety check of net over box against spec.
 
     Safe is proved by disjointness of the over-approximate output set from
     every unsafe polytope. Otherwise a deterministic counterexample search
-    (grid cell centers plus seeded random samples) either produces an
-    Unsafe witness or falls back to Uncertain.
+    (the reach set's centres, then seeded random samples) either produces
+    an Unsafe witness or falls back to Uncertain.
     """
     _check_spec_dim(net, spec)
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
-    box.require_finite()
-    k = DEFAULT_SPLITS if splits is None else int(splits)
-
-    # The interval method is the one-cell grid.
-    cfg = SplitConfig(k if method == METHOD_SPLIT else 1)
-    if method == METHOD_EXACT:
-        stars = reach_stars(net, box_to_star(box), star_cap=star_cap)
-        clear = _clear(*star_bounds(stars), spec,
-                       lambda i, A, d: _star_intersects(stars[i], A, d))
-    else:
-        boxes = reach_box_split(net, box, cfg)
-        clear = _clear(boxes.lower, boxes.upper, spec,
-                       lambda i, A, d: _box_intersects(boxes[i], A, d))
-    if clear:
+    reached = reach(net, box, method, splits, star_cap)
+    if _clear(reached, spec):
         return Verdict(SAFE)
 
     # Over-approximation touched the unsafe region: hunt for a real witness.
-    centers = split_box(box, cfg).center()
     rng = np.random.default_rng(seed)
-    candidates = np.vstack([centers, box.sample(rng, SEARCH_SAMPLES)])
+    candidates = np.vstack([reached.centers, box.sample(rng, SEARCH_SAMPLES)])
     Y = net.forward_batch(candidates)
     hits = np.zeros(len(candidates), dtype=bool)
     for A, d in spec.unsafe_polytopes:
@@ -186,7 +158,8 @@ def inflate_spec(spec, eps, norm=LINF):
     return LinearSpec(inflated)
 
 
-def verify_via_compressed(net_big, net_small, box, spec, method=METHOD_SPLIT,
+def verify_via_compressed(net_big, net_small, box, spec,
+                          method=DEFAULT_COMPRESSED_METHOD,
                           splits=None, norm=LINF, star_cap=DEFAULT_STAR_CAP,
                           seed=DEFAULT_SEED, network_id="pair",
                           also_large=False, large_method=None,

@@ -17,15 +17,21 @@ Reachability Analysis of Deep Neural Networks", FM 2019). Star counts and
 suprema are those of running both range LPs at every neuron. The LPs that
 do run on one constraint system share one simplex phase 1 (see lp.py).
 
+reach_stars returns a StarSet, which bisim.reach hands out for the exact
+method. It has the members of interval.BoxBatch: closed-form bounds,
+sup_norm, an LP intersection test and witness-search centres.
+
 Practical on small networks only; the star count is capped.
 """
+
+from collections.abc import Sequence
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NumericError, ResourceLimitError, ShapeError
 from .interval import BoxBatch
-from .lp import lp_max, phase_one
-from .network import Box
+from .lp import lp_feasible, lp_max, phase_one
 from .norms import LINF, batch_norms, sup_norm_box
 
 DEFAULT_STAR_CAP = 10**5
@@ -46,7 +52,7 @@ class Star:
     arrays.
     """
 
-    def __init__(self, center, basis, constr_mat, constr_rhs, check=True):
+    def __init__(self, center, basis, constr_mat, constr_rhs):
         self.center = np.atleast_1d(np.asarray(center, dtype=float))
         self.basis = np.atleast_2d(np.asarray(basis, dtype=float))
         self.constr_mat = np.asarray(constr_mat, dtype=float)
@@ -61,18 +67,13 @@ class Star:
             raise ShapeError("basis rows != center length")
         if self.constr_mat.shape != (self.constr_rhs.shape[0], p):
             raise ShapeError("constraint shapes inconsistent with basis columns")
-        if check:
-            res = self._lp_max(np.zeros(p))
-            if not res.optimal:
-                raise ValueError("star constraint set is infeasible")
-            self.point = res.point
 
     @property
     def dim(self):
         return self.center.shape[0]
 
     def _derive(self, center, basis, constr_mat, constr_rhs, point):
-        star = Star(center, basis, constr_mat, constr_rhs, check=False)
+        star = Star(center, basis, constr_mat, constr_rhs)
         star.point = point
         star.pred_box = self.pred_box
         if constr_mat is self.constr_mat and constr_rhs is self.constr_rhs:
@@ -130,9 +131,49 @@ class Star:
         # the ordered pair still contains both answers.
         return min(lower, upper), max(lower, upper)
 
-    def bounding_box(self):
-        lows, highs = zip(*(self.coord_range(i) for i in range(self.dim)))
-        return Box(np.array(lows), np.array(highs))
+
+class StarSet(Sequence):
+    """The stars of reach_stars, with the members of interval.BoxBatch.
+
+    lower and upper are the closed-form (n, dim) outer bounds of
+    star_bounds, computed on first use. centers holds the input star's
+    centre (the box centre for box_to_star), which the witness search
+    tries first.
+    """
+
+    label = None  # the back-end that computed the set, set by bisim.reach
+
+    def __init__(self, stars, centers):
+        self.stars = stars
+        self.centers = centers
+
+    def __len__(self):
+        return len(self.stars)
+
+    def __getitem__(self, i):
+        return self.stars[i]
+
+    @cached_property
+    def _bounds(self):
+        return star_bounds(self.stars)
+
+    @property
+    def lower(self):
+        return self._bounds[0]
+
+    @property
+    def upper(self):
+        return self._bounds[1]
+
+    def sup_norm(self, norm):
+        """sup of ||y|| over the union (see star_sup_norm)."""
+        return star_sup_norm(self, norm)
+
+    def intersects(self, i, A, d):
+        """True when star i meets {y : A y <= d}, by one LP."""
+        s = self.stars[i]
+        return lp_feasible(np.vstack([s.constr_mat, A @ s.basis]),
+                           np.concatenate([s.constr_rhs, d - A @ s.center]))
 
 
 def _image_bounds(c, V, lo, hi):
@@ -152,29 +193,33 @@ def box_to_star(box):
     half = (box.upper - box.lower) / 2.0
     n = len(box)
     star = Star(box.center(), np.diag(half),
-                np.vstack([np.eye(n), -np.eye(n)]), np.ones(2 * n), check=False)
+                np.vstack([np.eye(n), -np.eye(n)]), np.ones(2 * n))
     star.point = np.zeros(n)
     star.pred_box = (-np.ones(n), np.ones(n))
     return star
 
 
 def _with_pred_box(star):
-    """A copy of star with its predicate box and a feasible point filled in.
+    """A copy of star with a feasible point and its predicate box filled in.
 
-    A missing box costs 2p LPs, one per predicate bound; a missing point
-    costs one. All of them share one phase 1.
+    A missing point costs one LP, which also proves the constraint set
+    feasible; a missing box costs 2p LPs, one per predicate bound. All of
+    them share one phase 1. Raises ValueError for an infeasible star.
     """
     p = star.basis.shape[1]
     out = star._derive(star.center, star.basis, star.constr_mat,
                        star.constr_rhs, star.point)
+    if out.point is None:
+        res = out._lp_max(np.zeros(p))
+        if not res.optimal:
+            raise ValueError("star constraint set is infeasible")
+        out.point = res.point
     if out.pred_box is None:
         eye = np.eye(p)
         highs = [out._lp_max(e) for e in eye]
         lows = [out._lp_max(-e) for e in eye]
         out.pred_box = (np.array([-r.value if r.optimal else -np.inf for r in lows]),
                         np.array([r.value if r.optimal else np.inf for r in highs]))
-    if out.point is None:
-        out.point = out._lp_max(np.zeros(p)).point
     return out
 
 
@@ -213,10 +258,11 @@ def _split_relu(star, i):
 
 
 def reach_stars(net, star, star_cap=DEFAULT_STAR_CAP):
-    """Exact output reachable set of a network as a union of stars.
+    """Exact output reachable set of a network as a StarSet.
 
     Raises ResourceLimitError when the union would exceed star_cap; the
-    interval back-end is the fallback at that scale.
+    interval back-end is the fallback at that scale. Raises ValueError
+    when the input star is empty.
     """
     if star.dim != net.input_dim:
         raise ShapeError(f"star dim {star.dim} != input_dim {net.input_dim}")
@@ -238,7 +284,7 @@ def reach_stars(net, star, star_cap=DEFAULT_STAR_CAP):
                 raise ResourceLimitError(
                     f"star count {len(nxt)} exceeds cap {star_cap}")
             stars = nxt
-    return stars
+    return StarSet(stars, star.center[None, :])
 
 
 def star_sup_norm(stars, norm=LINF):

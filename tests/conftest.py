@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nnbisim import Box, Layer, Network, lp_feasible, random_network
+from nnbisim import Box, Layer, Network, lp_feasible, random_network, reach_box_split
 
 
 def constant_net(value, input_dim=1, out_dim=1):
@@ -9,6 +9,11 @@ def constant_net(value, input_dim=1, out_dim=1):
     l1 = Layer.relu(np.zeros((1, input_dim)), [0.0])
     l2 = Layer.linear(np.zeros((out_dim, 1)), np.full(out_dim, float(value)))
     return Network(input_dim, [l1, l2])
+
+
+def reach_box(net, box):
+    """Interval bounds of net's outputs over box: the one-cell grid."""
+    return reach_box_split(net, box, 1)[0]
 
 
 def two_layer_vee():

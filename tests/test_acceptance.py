@@ -10,12 +10,11 @@ import numpy as np
 import conftest
 from nnbisim import (Box, Layer, Network, bisim_error_lower_mc,
                      bisim_error_upper, merge, parse_json_net, parse_nnet,
-                     random_network, reach_box, reach_box_split, verify,
+                     random_network, reach_box_split, verify,
                      verify_via_compressed, write_json_net, write_nnet)
 from nnbisim.formats import NNetMeta
-from nnbisim.interval import SplitConfig
 from nnbisim.safety import SAFE, UNCERTAIN, UNSAFE, LinearSpec
-from conftest import constant_net
+from conftest import constant_net, reach_box
 
 
 def _report(num, ok, detail=""):
@@ -214,7 +213,7 @@ def test_criterion_7_lifting_soundness():
         box = Box([-1.0, -1.0], [1.0, 1.0])
         eps = bisim_error_upper(big, small, box, method="split",
                                 splits=4).epsilon_upper
-        cells = reach_box_split(small, box, SplitConfig(4))
+        cells = reach_box_split(small, box, 4)
         floor = min(c.lower[0] for c in cells)
         threshold = floor - eps - 0.5
         spec = LinearSpec([(np.array([[1.0]]), np.array([threshold]))])

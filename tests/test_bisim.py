@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nnbisim import (Box, LinearSpec, Layer, MergePreconditionError, Network,
                      NumericError, bisim_error_lower_mc, bisim_error_upper,
-                     check_assured, random_network, verify)
+                     random_network, verify)
 from nnbisim.bisim import ErrorBound
 from conftest import constant_net, random_pair
 
@@ -102,6 +104,16 @@ class TestLowerBound:
                                           method=method).epsilon_upper
                 assert lower <= upper + 1e-9
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6),
+           method=st.sampled_from(["interval", "split", "exact"]),
+           norm=st.sampled_from(["inf", "l2"]))
+    def test_sampled_lower_never_exceeds_upper(self, seed, method, norm):
+        big, small, box = random_pair(seed)
+        lower = bisim_error_lower_mc(big, small, box, 500, seed=seed, norm=norm)
+        upper = bisim_error_upper(big, small, box, method=method, norm=norm)
+        assert lower <= upper.epsilon_upper + 1e-9
+
     def test_seed_determinism_and_jobs(self):
         big, small, box = random_pair(17)
         a = bisim_error_lower_mc(big, small, box, 4000, seed=9)
@@ -113,24 +125,6 @@ class TestLowerBound:
         big, small, box = random_pair(18)
         with pytest.raises(ValueError):
             bisim_error_lower_mc(big, small, box, 0, seed=0)
-
-
-class TestCheckAssured:
-    def test_identical_zero_budget(self):
-        net = random_network([2, 3, 1], 1.0, seed=6)
-        box = Box([-1.0, -1.0], [1.0, 1.0])
-        assert check_assured(net, net, box, 0.0, method="exact")
-
-    def test_constant_gap_thresholds(self):
-        box = Box([-1.0], [1.0])
-        big, small = constant_net(3.0), constant_net(1.0)
-        assert not check_assured(big, small, box, 1.0)
-        assert check_assured(big, small, box, 2.0)
-
-    def test_negative_eps_rejected(self):
-        net = constant_net(1.0)
-        with pytest.raises(ValueError):
-            check_assured(net, net, Box([0.0], [1.0]), -0.5)
 
 
 class TestErrorBound:

@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nnbisim import (IDENTITY, RELU, Box, Layer, Network, ResourceLimitError,
-                     ShapeError, SplitConfig, act_bounds, affine_bounds,
-                     random_network, reach_box, reach_box_split, split_box)
-from conftest import two_layer_vee
+                     ShapeError, random_network, reach_box_split, split_box)
+from conftest import reach_box, two_layer_vee
 
 coeffs = st.floats(-2.0, 2.0, allow_subnormal=False)
 
@@ -36,6 +35,30 @@ def reference_cells(box, k):
     return [Box([edges[j][i] for j, i in enumerate(idx)],
                 [edges[j][i + 1] for j, i in enumerate(idx)])
             for idx in itertools.product(range(k), repeat=len(box))]
+
+
+def affine_bounds(W, b, box):
+    """Bounds of {W x + b : x in box}, row by row.
+
+    Each row picks box.lower where the weight is nonnegative and box.upper
+    where it is negative (and the mirror for the upper bound).
+    """
+    W = np.atleast_2d(np.asarray(W, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    if W.shape[1] != len(box):
+        raise ShapeError(f"weight cols {W.shape[1]} != box length {len(box)}")
+    nonneg = W >= 0
+    lower = b + (W * np.where(nonneg, box.lower, box.upper)).sum(axis=1)
+    upper = b + (W * np.where(nonneg, box.upper, box.lower)).sum(axis=1)
+    return Box(lower, upper)
+
+
+def act_bounds(relu_mask, box):
+    """Per-neuron activations applied to an interval vector."""
+    relu_mask = np.asarray(relu_mask, dtype=bool)
+    lower = np.where(relu_mask, np.maximum(box.lower, 0.0), box.lower)
+    upper = np.where(relu_mask, np.maximum(box.upper, 0.0), box.upper)
+    return Box(lower, upper)
 
 
 def reference_reach(net, box):
@@ -127,19 +150,24 @@ class TestReachBox:
 
 class TestSplit:
     def test_single_cell_equals_reach_box(self):
-        net = two_layer_vee()
-        box = Box([-3.0], [3.0])
-        cells = reach_box_split(net, box, SplitConfig(1))
-        whole = reach_box(net, box)
+        # The interval method is the one-cell grid: the whole box, its
+        # centre as the witness-search point, the per-box reference bounds.
+        net = random_network([3, 5, 4, 2], 1.0, seed=12)
+        box = Box([-1.0, 0.5, -2.0], [0.3, 0.5, 1.0])
+        assert np.array_equal(split_box(box, 1).lower, [box.lower])
+        assert np.array_equal(split_box(box, 1).upper, [box.upper])
+        cells = reach_box_split(net, box, 1)
+        ref = reference_reach(net, box)
         assert len(cells) == 1
-        assert np.array_equal(cells[0].lower, whole.lower)
-        assert np.array_equal(cells[0].upper, whole.upper)
+        assert np.array_equal(cells.centers, [box.center()])
+        assert np.allclose(cells[0].lower, ref.lower, rtol=0.0, atol=1e-12)
+        assert np.allclose(cells[0].upper, ref.upper, rtol=0.0, atol=1e-12)
 
     def test_cells_never_loosen(self):
         net = two_layer_vee()
         box = Box([-3.0], [3.0])
         whole = reach_box(net, box)
-        cells = reach_box_split(net, box, SplitConfig(4))
+        cells = reach_box_split(net, box, 4)
         assert len(cells) == 4
         assert max(c.upper[0] for c in cells) <= whole.upper[0]
         for c in cells:
@@ -148,24 +176,25 @@ class TestSplit:
 
     def test_split_box_partition(self):
         box = Box([0.0, 0.0], [1.0, 2.0])
-        cells = split_box(box, SplitConfig(2))
+        cells = split_box(box, 2)
         assert len(cells) == 4
         assert np.allclose(cells[0].lower, [0.0, 0.0])
         assert np.allclose(cells[-1].upper, [1.0, 2.0])
 
     def test_cell_cap(self):
-        box = Box(np.zeros(4), np.ones(4))
-        with pytest.raises(ResourceLimitError):
-            split_box(box, SplitConfig(10, max_cells=100))
+        # 8^7 cells is over the cap of 10^6; the check runs before any array.
+        box = Box(np.zeros(7), np.ones(7))
+        with pytest.raises(ResourceLimitError, match="exceeds the cap"):
+            split_box(box, 8)
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
     def test_batched_matches_per_cell_reference(self, data):
         net, box = data.draw(net_and_box())
         k = data.draw(st.integers(1, 3))
-        got = reach_box_split(net, box, SplitConfig(k))
+        got = reach_box_split(net, box, k)
         ref_cells = reference_cells(box, k)
-        cells = split_box(box, SplitConfig(k))
+        cells = split_box(box, k)
         assert len(got) == len(cells) == len(ref_cells)
         assert np.array_equal(cells.lower, np.array([c.lower for c in ref_cells]))
         assert np.array_equal(cells.upper, np.array([c.upper for c in ref_cells]))
@@ -176,11 +205,12 @@ class TestSplit:
             assert np.allclose(out.upper, ref.upper, rtol=0.0, atol=1e-12 * scale)
 
     def test_grid_order_is_last_dimension_fastest(self):
-        cells = split_box(Box([0.0, 0.0, 0.0], [2.0, 2.0, 2.0]), SplitConfig(2))
+        cells = split_box(Box([0.0, 0.0, 0.0], [2.0, 2.0, 2.0]), 2)
         idx = [tuple(c.lower.astype(int)) for c in cells]
         assert idx == list(itertools.product(range(2), repeat=3))
-        assert np.array_equal(cells.center()[1], [0.5, 0.5, 1.5])
+        assert np.array_equal(cells.centers[1], [0.5, 0.5, 1.5])
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SplitConfig(0)
+        for k in (0, -2):
+            with pytest.raises(ValueError, match="cells_per_dim"):
+                split_box(Box([0.0], [1.0]), k)

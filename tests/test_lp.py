@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from nnbisim import DegenerateLPError, lp_feasible, lp_max, phase_one
+from nnbisim import BoxBatch, DegenerateLPError, lp_feasible, lp_max, phase_one
 from nnbisim.lp import INFEASIBLE, OPTIMAL, UNBOUNDED
 
 
@@ -78,6 +78,39 @@ class TestFeasible:
     def test_boundary_slice(self):
         # {alpha >= 0} and {alpha <= 0}: a single point, still feasible
         assert lp_feasible([[1.0], [-1.0]], [0.0, 0.0])
+
+
+@st.composite
+def box_around_point(draw):
+    """A one-box BoxBatch, a point in it and rows through or beyond the
+    point, each scaled by a power of ten from 1e-12 to 1e3."""
+    dim = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lower = rng.uniform(-2.0, 2.0, dim)
+    width = np.array(draw(st.lists(st.sampled_from([0.0, 1e-6, 0.5, 3.0]),
+                                   min_size=dim, max_size=dim)))
+    t = np.array(draw(st.lists(st.sampled_from([0.0, 0.3, 1.0]),
+                               min_size=dim, max_size=dim)))
+    y = lower + t * width
+    rows = draw(st.integers(1, 4))
+    scales = 10.0 ** np.array(draw(st.lists(st.integers(-12, 3),
+                                            min_size=rows, max_size=rows)))
+    A = rng.normal(size=(rows, dim)) * scales[:, None]
+    slack = np.array(draw(st.lists(st.sampled_from([0.0, 1e-9, 0.1]),
+                                   min_size=rows, max_size=rows)))
+    return BoxBatch([lower], [lower + width]), A, A @ y + slack * scales
+
+
+class TestFeasibleAroundAPoint:
+    # Only the safe direction: a system with a known feasible point must
+    # read as intersecting. The other direction is not pinned: FEAS_TOL is
+    # absolute, so a badly scaled infeasible system can read as feasible,
+    # which only costs a Safe verdict.
+    @settings(max_examples=300, deadline=None)
+    @given(box_around_point())
+    def test_known_feasible_point_intersects(self, case):
+        batch, A, d = case
+        assert batch.intersects(0, A, d) is True
 
 
 class TestAgainstScipy:

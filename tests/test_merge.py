@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nnbisim import (MergePreconditionError, ShapeError, UnsupportedShapeError,
-                     difference_eval, merge, random_network, validate)
+from nnbisim import (IDENTITY, RELU, Layer, MergePreconditionError, Network,
+                     UnsupportedShapeError, merge, random_network, validate)
 from conftest import constant_net, random_pair
+
+
+def difference_eval(net_big, net_small, x):
+    """big(x) - small(x) on the scalar path; the independent oracle for merge."""
+    return net_big.forward(x) - net_small.forward(x)
 
 
 class TestStructure:
@@ -85,6 +92,56 @@ class TestExactness:
                                difference_eval(big, small, x), atol=1e-10)
 
 
+@st.composite
+def mergeable_pair(draw):
+    """A (big, small) pair of random depths and widths with width-1 layers
+    and all-ReLU, all-identity or mixed layers, plus inputs to test at."""
+    d, o = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    depth_big = draw(st.integers(2, 5))
+    depth_small = draw(st.integers(2, depth_big))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def network(depth):
+        widths = [d] + [draw(st.integers(1, 4)) for _ in range(depth - 1)] + [o]
+        layers = []
+        for rows, cols in zip(widths[1:], widths[:-1]):
+            kind = draw(st.sampled_from([RELU, IDENTITY, "mixed"]))
+            tags = (rng.choice([RELU, IDENTITY], rows).tolist() if kind == "mixed"
+                    else [kind] * rows)
+            layers.append(Layer(rng.uniform(-1.5, 1.5, (rows, cols)),
+                                rng.uniform(-0.5, 0.5, rows), tags))
+        return Network(d, layers)
+
+    return network(depth_big), network(depth_small), rng.uniform(-2.0, 2.0, (10, d))
+
+
+def magnitude(net, x):
+    """Largest value of any layer of net at x when every weight, bias and
+    input is replaced by its absolute value: a scale for rounding error."""
+    h = np.abs(x)
+    top = h.max()
+    for lay in net.layers:
+        h = np.abs(lay.weights) @ h + np.abs(lay.bias)
+        top = max(top, h.max())
+    return top
+
+
+class TestMergeProperty:
+    @settings(max_examples=100, deadline=None)
+    @given(mergeable_pair())
+    def test_merged_output_is_difference(self, pair):
+        big, small, X = pair
+        merged = merge(big, small)
+        assert validate(merged) == []
+        assert merged.num_layers == big.num_layers + 1
+        batch = merged.forward_batch(X)
+        for x, y in zip(X, batch):
+            ref = difference_eval(big, small, x)
+            tol = 1e-12 * (1.0 + magnitude(big, x) + magnitude(small, x))
+            assert np.allclose(merged.forward(x), ref, rtol=0.0, atol=tol)
+            assert np.allclose(y, ref, rtol=0.0, atol=tol)
+
+
 class TestDifferenceEval:
     def test_identical(self):
         net = random_network([2, 3, 1], 1.0, seed=8)
@@ -93,15 +150,6 @@ class TestDifferenceEval:
     def test_constant_networks(self):
         assert np.allclose(
             difference_eval(constant_net(3.0), constant_net(1.0), [0.0]), [2.0])
-
-    def test_shape_errors(self):
-        a = random_network([2, 3, 1], 1.0, seed=1)
-        b = random_network([3, 3, 1], 1.0, seed=2)
-        with pytest.raises(ShapeError):
-            difference_eval(a, b, [0.0, 0.0])
-        c = random_network([2, 3, 2], 1.0, seed=3)
-        with pytest.raises(ShapeError):
-            difference_eval(a, c, [0.0, 0.0])
 
 
 class TestPreconditions:

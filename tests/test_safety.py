@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-import nnbisim.safety
-from nnbisim import (Box, Layer, LinearSpec, Network, ShapeError, SplitConfig,
+import nnbisim.interval
+import nnbisim.star
+from nnbisim import (Box, Layer, LinearSpec, Network, ShapeError, lp_feasible,
                      Verdict, bisim_error_upper, inflate_spec, random_network,
-                     reach_box, split_box, verify, verify_via_compressed)
+                     split_box, verify, verify_via_compressed)
 from nnbisim.safety import (SAFE, SEARCH_SAMPLES, UNCERTAIN, UNSAFE,
-                            BisimReport, _box_intersects, report_csv,
+                            BisimReport, report_csv,
                             report_table)
-from conftest import constant_net
+from conftest import constant_net, reach_box
 
 
 def halfspace(a, b):
@@ -79,6 +82,17 @@ class TestVerify:
         verdict = verify(net, Box([0.0, 0.0], [1.0, 1.0]), spec)
         assert verdict.status == SAFE
 
+    @pytest.mark.parametrize("method", ["interval", "split", "exact"])
+    def test_tiny_row_meeting_the_box_is_not_safe(self, method):
+        # y >= 25 written as -1e-10 y <= -2.5e-9 meets the output range
+        # [-1, 30]. Phase 1 on the unscaled row stalls under FEAS_TOL and
+        # reads as a miss, a wrong Safe.
+        net = Network(1, [Layer.linear([[1.0]], [0.0])])
+        spec = halfspace([-1e-10], -2.5e-9)
+        verdict = verify(net, Box([-1.0], [30.0]), spec, method=method)
+        assert verdict.status == UNSAFE
+        assert spec.holds_at(net.forward(verdict.witness))
+
     def test_spec_dim_checked(self):
         with pytest.raises(ShapeError):
             verify(constant_net(1.0), Box([0.0], [1.0]),
@@ -97,15 +111,22 @@ class TestVerify:
             assert not np.any(Y[:, 0] <= out.lower[0] - 0.5)
 
 
+def box_meets(box, A, d):
+    """LP feasibility of {y in box : A y <= d}."""
+    eye = np.eye(len(box))
+    return lp_feasible(np.vstack([A, eye, -eye]),
+                       np.concatenate([d, box.upper, -box.lower]))
+
+
 def lp_per_cell_verify(net, box, spec, splits, seed=42):
     """Split verification with one LP per cell and polytope, no closed form."""
-    cells = split_box(box, SplitConfig(splits))
+    cells = split_box(box, splits)
     outs = [reach_box(net, c) for c in cells]
-    if not any(_box_intersects(o, A, d)
+    if not any(box_meets(o, A, d)
                for A, d in spec.unsafe_polytopes for o in outs):
         return Verdict(SAFE)
     rng = np.random.default_rng(seed)
-    candidates = np.vstack([cells.center(), box.sample(rng, SEARCH_SAMPLES)])
+    candidates = np.vstack([cells.centers, box.sample(rng, SEARCH_SAMPLES)])
     Y = net.forward_batch(candidates)
     for x, y in zip(candidates, Y):
         if spec.holds_at(y) and spec.holds_at(net.forward(x)):
@@ -173,7 +194,7 @@ class TestClosedFormCellTest:
 
     def test_clear_margin_needs_no_lp(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(nnbisim.safety, "lp_feasible",
+        monkeypatch.setattr(nnbisim.interval, "lp_feasible",
                             lambda A, d: calls.append(1) or True)
         net = random_network([2, 6, 4, 1], 1.0, seed=5)
         box = Box([-1.0, -1.0], [1.0, 1.0])
@@ -183,7 +204,7 @@ class TestClosedFormCellTest:
 
     def test_exact_clear_margin_needs_no_lp_feasible(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(nnbisim.safety, "lp_feasible",
+        monkeypatch.setattr(nnbisim.star, "lp_feasible",
                             lambda A, d: calls.append(1) or True)
         net = random_network([2, 6, 4, 1], 1.0, seed=5)
         box = Box([-1.0, -1.0], [1.0, 1.0])
@@ -202,6 +223,23 @@ class TestNonFiniteBox:
                            match="box lower bound must be finite, found -inf at index 0"):
             verify(net, Box([-np.inf, 0.0], [1.0, 1.0]), halfspace([1.0], 0.0),
                    method=method)
+
+    @settings(max_examples=30, deadline=None)
+    @given(method=st.sampled_from(["interval", "split", "exact"]),
+           side=st.sampled_from(["lower", "upper"]), index=st.integers(0, 1),
+           also_large=st.booleans())
+    def test_compressed_names_the_bound(self, method, side, index, also_large):
+        big = random_network([2, 4, 3, 1], 1.0, seed=1)
+        small = random_network([2, 3, 1], 1.0, seed=2)
+        lower, upper = np.zeros(2), np.ones(2)
+        bound = {"lower": lower, "upper": upper}[side]
+        bound[index] = -np.inf if side == "lower" else np.inf
+        found = "-inf" if side == "lower" else "inf"
+        with pytest.raises(ValueError, match=f"box {side} bound must be finite, "
+                                             f"found {found} at index {index}"):
+            verify_via_compressed(big, small, Box(lower, upper),
+                                  halfspace([1.0], 0.0), method=method,
+                                  also_large=also_large)
 
 
 class TestInflate:

@@ -10,9 +10,15 @@ import nnbisim.star
 from nnbisim import (IDENTITY, OPTIMAL, RELU, Box, Layer, LinearSpec, LPResult,
                      Network, ResourceLimitError, Star, Verdict, bisim_error_upper,
                      box_to_star, lp_feasible, lp_max, merge, random_network,
-                     reach_box, reach_stars, star_sup_norm, sup_norm_box, verify)
+                     reach_stars, star_sup_norm, sup_norm_box, verify)
 from nnbisim.safety import SAFE, SEARCH_SAMPLES, UNCERTAIN, UNSAFE
-from conftest import star_contains, union_contains
+from conftest import reach_box, star_contains, union_contains
+
+
+def bounding_box(star):
+    """The star's LP bounding box, one coord_range per output coordinate."""
+    lows, highs = zip(*(star.coord_range(i) for i in range(star.dim)))
+    return Box(np.array(lows), np.array(highs))
 
 
 def vee_layer_net():
@@ -42,8 +48,11 @@ class TestBoxToStar:
 
 class TestStarInvariants:
     def test_infeasible_construction_rejected(self):
-        with pytest.raises(ValueError):
-            Star([0.0], [[1.0]], [[1.0], [-1.0]], [-1.0, -2.0])
+        # Building a star runs no LP; reach_stars's first LP on a star
+        # without a feasible point proves it empty and names it.
+        star = Star([0.0], [[1.0]], [[1.0], [-1.0]], [-1.0, -2.0])
+        with pytest.raises(ValueError, match="star constraint set is infeasible"):
+            reach_stars(random_network([1, 3, 1], 1.0, seed=0), star)
 
     def test_affine_map(self):
         s = box_to_star(Box([0.0], [2.0])).affine([[3.0]], [1.0])
@@ -52,7 +61,7 @@ class TestStarInvariants:
 
     def test_bounding_box(self):
         s = box_to_star(Box([-1.0, 0.0], [1.0, 4.0]))
-        bb = s.bounding_box()
+        bb = bounding_box(s)
         assert np.allclose(bb.lower, [-1.0, 0.0], atol=1e-9)
         assert np.allclose(bb.upper, [1.0, 4.0], atol=1e-9)
 
@@ -60,11 +69,11 @@ class TestStarInvariants:
     def test_crossed_lp_range_is_ordered(self, monkeypatch):
         # On a sliver star the two range LPs can cross by rounding; the
         # range must come back ordered, and the bounding box must build.
-        star = Star([0.0], [[1e-9]], [[1.0], [-1.0]], [1.0, 1.0], check=False)
+        star = Star([0.0], [[1e-9]], [[1.0], [-1.0]], [1.0, 1.0])
         monkeypatch.setattr(nnbisim.star, "lp_max",
                             lambda c, A, d, **kw: LPResult(OPTIMAL, -1e-17, None))
         assert star.coord_range(0) == (-1e-17, 1e-17)
-        box = star.bounding_box()
+        box = bounding_box(star)
         assert box.lower[0] == -1e-17 and box.upper[0] == 1e-17
 
 
@@ -125,7 +134,7 @@ class TestReachStars:
             stars = reach_stars(net, box_to_star(box))
             ib = reach_box(net, box)
             for s in stars:
-                bb = s.bounding_box()
+                bb = bounding_box(s)
                 assert np.all(bb.lower >= ib.lower - 1e-8)
                 assert np.all(bb.upper <= ib.upper + 1e-8)
 
