@@ -7,10 +7,23 @@ basic-variable index, so the solve is deterministic and cannot cycle.
 Reduced costs are recomputed from the tableau every iteration.
 
 Phase 1 never reads the objective (Dantzig, "Linear Programming and
-Extensions", ch. 5), so phase_one runs it once per constraint system and
-returns an immutable LPStart. lp_max runs phase 2 on a copy of a given
-start, or runs phase 1 itself when none is given; either way the same
-pivots run on the same tableau, so the results are identical bit for bit.
+Extensions", ch. 5), so it runs once per constraint system and gives a
+start that every objective over the system can use.
+
+The solver works on stacks. phase_one_batch runs phase 1 for a stack of
+systems and returns their Starts; lp_max_batch runs phase 2 for a stack
+of LPs, each from one of those starts. All members of a stack move in
+lockstep on one (members, rows, columns) tableau array: every iteration
+picks each member's entering column, leaving row and pivot with array
+operations, and a member leaves the stack as soon as it is finished.
+Systems with fewer rows than the stack are padded with inert rows
+0.x <= 1 whose slack is basic and never leaves; the padding columns come
+after the member's own slacks, so Bland's rule and the tie-break pick
+what they pick for the member alone. phase_one and lp_max are batches of
+one, so there is a single solver path. Padding can move a reduced cost
+in its last bit (the BLAS sums it in another order), but reduced costs
+are only ever compared with FEAS_TOL; the pivots are elementwise and the
+same with or without padding.
 """
 
 from dataclasses import dataclass
@@ -27,6 +40,13 @@ FEAS_TOL = 1e-9    # feasibility / reduced-cost tolerance
 PIVOT_MIN = 1e-11  # pivots below this are numeric breakdown
 ZERO_TOL = 1e-13   # entries below this count as zero
 
+_BIG = np.iinfo(np.intp).max
+# Members per lockstep stack: larger batches run as several stacks, which
+# bounds the solver's temporary arrays without changing any result.
+_CHUNK = 256
+# What _simplex says of a member when it lets it go.
+_DONE, _OPEN, _FAILED = 0, 1, 2
+
 
 @dataclass
 class LPResult:
@@ -39,152 +59,395 @@ class LPResult:
         return self.status == OPTIMAL
 
 
-def _pivot(T, basis, r, j):
-    piv = T[r, j]
-    if abs(piv) < PIVOT_MIN:
-        raise DegenerateLPError(f"pivot {piv:.3e} below {PIVOT_MIN:g}")
-    piv_row = T[r] / piv
-    T -= T[:, j, None] * piv_row
-    T[r] = piv_row
-    T[:, j] = 0.0
-    T[r, j] = 1.0
-    basis[r] = j
-    # tiny negative rhs is rounding noise
-    rhs = T[:, -1]
-    rhs[(rhs < 0.0) & (rhs > -FEAS_TOL)] = 0.0
+@dataclass
+class LPBatch:
+    """Results of lp_max_batch, one entry per LP: optimal (bool array),
+    value (inf when unbounded, nan when infeasible) and point (LPs, vars),
+    a row of nan where the LP has no optimum."""
+
+    optimal: np.ndarray
+    value: np.ndarray
+    point: np.ndarray
+
+    def __getitem__(self, k):
+        if self.optimal[k]:
+            return LPResult(OPTIMAL, float(self.value[k]), self.point[k])
+        return LPResult(INFEASIBLE if np.isnan(self.value[k]) else UNBOUNDED,
+                        float(self.value[k]), None)
 
 
-def _min_ratio(T, basis, rows, j):
-    """Row of rows with the least rhs / T[row, j], ties to the smallest
-    basic-variable index."""
-    ratios = T[rows, -1] / T[rows, j]
-    cand = rows[ratios <= ratios.min()]
-    return int(cand[np.argmin(basis[cand])])
+@dataclass
+class Starts:
+    """Phase-1 starts of a stack of constraint systems, padded to M rows.
 
-
-def _ratio_row(T, basis, j):
-    """Leaving row for entering column j, or None when the column opens up.
-
-    A winning entry below PIVOT_MIN is no pivot. Rows with entries that
-    small then leave the test when the step set by the other rows moves
-    each of them by at most FEAS_TOL; otherwise the winner stands and the
-    pivot raises.
+    System k is A[k, :rows[k]] x <= d[k, :rows[k]] (A is (S, M, n), d is
+    (S, M)); rows past rows[k] read 0.x <= 1. tableau (S, M, 2n + M + 1)
+    and basis (S, M) are a feasible basis of each standard form where
+    feasible[k] holds; a redundant row that phase 1 dropped is a zero row
+    whose basic slot is its own slack. error[k] names the numeric
+    breakdown of phase 1, or is None.
     """
-    col = T[:, j]
-    rows = (col > ZERO_TOL).nonzero()[0]
-    if rows.size == 0:
-        return None
-    leave = _min_ratio(T, basis, rows, j)
-    if col[leave] >= PIVOT_MIN:
-        return leave
-    tiny = col[rows] < PIVOT_MIN
-    if tiny.all():
-        return leave
-    alt = _min_ratio(T, basis, rows[~tiny], j)
-    step = T[alt, -1] / col[alt]
-    small = rows[tiny]
-    if np.all(T[small, -1] - col[small] * step >= -FEAS_TOL):
-        return alt
-    return leave
+
+    A: np.ndarray
+    d: np.ndarray
+    rows: np.ndarray
+    tableau: np.ndarray
+    basis: np.ndarray
+    feasible: np.ndarray
+    error: np.ndarray
+
+    @classmethod
+    def empty(cls, size, M, n):
+        """size empty members (read as infeasible until put fills them)."""
+        return cls(np.zeros((size, M, n)), np.ones((size, M)), np.zeros(size, dtype=np.intp),
+                   np.zeros((size, M, 2 * n + M + 1)),
+                   np.repeat((2 * n + np.arange(M))[None], size, axis=0),
+                   np.zeros(size, dtype=bool), np.full(size, None, dtype=object))
+
+    def __len__(self):
+        return len(self.rows)
+
+    def take(self, idx):
+        """The systems idx and their starts as a new stack."""
+        return Starts(*(getattr(self, f)[idx] for f in _START_FIELDS))
+
+    def put(self, idx, other):
+        """Store the stack other (with the same M) at idx."""
+        for f in _START_FIELDS:
+            getattr(self, f)[idx] = getattr(other, f)
+
+    def resized(self, size, M):
+        """The stack padded to M rows (rows 0.x <= 1, slack basic), with
+        room for size members: the ones past the current stack are empty."""
+        S, M0, n = self.A.shape
+        out = Starts.empty(size, M, n)
+        out.A[:S, :M0], out.d[:S, :M0], out.rows[:S] = self.A, self.d, self.rows
+        out.tableau[:S, :M0, :2 * n + M0] = self.tableau[:, :, :-1]
+        out.tableau[:S, :M0, -1] = self.tableau[:, :, -1]
+        new = np.arange(M0, M)
+        out.tableau[:S, new, 2 * n + new] = 1.0
+        out.tableau[:S, M0:, -1] = 1.0
+        out.basis[:S, :M0] = self.basis
+        out.feasible[:S], out.error[:S] = self.feasible, self.error
+        return out
+
+
+_START_FIELDS = ("A", "d", "rows", "tableau", "basis", "feasible", "error")
 
 
 @dataclass(frozen=True)
 class LPStart:
-    """Phase-1 result for one constraint system {x : A x <= d}, m rows and
-    n variables.
-
-    A and d are the objects the start was built from. tableau and basis
-    (read-only) are a feasible basis of the standard form, or None when the
-    system is infeasible. Every lp_max over the same system can start here.
-    """
+    """phase_one's start for one constraint system {x : A x <= d}, m rows
+    and n variables: a read-only Starts of one, tied to the A and d
+    objects it was built from."""
 
     A: object
     d: object
     m: int
     n: int
-    tableau: np.ndarray | None
-    basis: np.ndarray | None
+    starts: Starts
 
     @property
     def feasible(self):
-        return self.tableau is not None
+        return bool(self.starts.feasible[0])
+
+    @property
+    def tableau(self):
+        return self.starts.tableau[0] if self.feasible else None
+
+    @property
+    def basis(self):
+        return self.starts.basis[0] if self.feasible else None
 
 
 def _max_iter(m, n):
     return 2000 + 200 * (m + n)
 
 
+def _min_ratio(ratio, basis):
+    """Per member, the row with the least ratio (inf marks rows out of the
+    test), ties to the smallest basic-variable index."""
+    cand = ratio <= ratio.min(axis=1, keepdims=True)
+    return np.where(cand, basis, _BIG).argmin(axis=1)
+
+
+def _tiny_pivot(col, rhs, ratio, basis, leave):
+    """Leaving rows for members whose winning entry is below PIVOT_MIN.
+
+    Rows with entries that small leave the test when the step set by the
+    other rows moves each of them by at most FEAS_TOL; otherwise the
+    winner stands and the pivot fails.
+    """
+    tiny = (col > ZERO_TOL) & (col < PIVOT_MIN)
+    alt = _min_ratio(np.where(tiny, np.inf, ratio), basis)
+    ar = np.arange(len(col))
+    step = rhs[ar, alt] / col[ar, alt]
+    fits = np.all(~tiny | (rhs - col * step[:, None] >= -FEAS_TOL), axis=1)
+    big = (ratio < np.inf) & ~tiny
+    return np.where(big.any(axis=1) & fits, alt, leave)
+
+
+def _simplex(T, basis, cost, K, rows, n, phase):
+    """Maximize cost . z over a stack of tableaus in lockstep.
+
+    T (members, rows, cols) and basis (members, rows) are updated in
+    place; cost is (members, cols - 1), and only the first K columns may
+    enter. Returns each member's state (_DONE, _OPEN when its entering
+    column has no positive entry, or _FAILED) and a dict of failure
+    messages by member: a member with rows[member] rows fails after
+    _max_iter pivots, or on a pivot below PIVOT_MIN.
+    """
+    state = np.full(len(T), _DONE)
+    errors = {}
+    idx = np.arange(len(T))
+    Tw, Bw, cw = T, basis, cost
+    it = 0
+
+    def release(keep, code):
+        """Let the members outside keep go with code (one or per member)."""
+        nonlocal idx, Tw, Bw, cw
+        gone = idx[~keep]
+        state[gone] = code if isinstance(code, int) else code[~keep]
+        if Tw is not T:
+            T[gone] = Tw[~keep]
+            basis[gone] = Bw[~keep]
+        if keep.any():
+            idx, Tw, Bw, cw = idx[keep], Tw[keep], Bw[keep], cw[keep]
+        else:
+            idx = idx[:0]
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while idx.size:
+            if it >= _max_iter(0, 0):  # the least limit of any member
+                over = it >= _max_iter(rows[idx], n)
+                for k in idx[over]:
+                    errors[int(k)] = f"phase-{phase} iteration limit reached"
+                if over.any():
+                    release(~over, _FAILED)
+                    continue
+            ar = np.arange(idx.size)
+            cb = cw[ar[:, None], Bw]
+            reduced = cw[:, :K] - np.matmul(cb[:, None, :], Tw[:, :, :K])[:, 0]
+            eligible = reduced > FEAS_TOL
+            enter = eligible.argmax(axis=1)
+            found = eligible[ar, enter]
+            if not found.all():
+                release(found, _DONE)
+                if not idx.size:
+                    break
+                ar, enter = ar[:idx.size], enter[found]
+            col = Tw[ar, :, enter]
+            rhs = Tw[:, :, -1]
+            ratio = rhs / col
+            ratio[col <= ZERO_TOL] = np.inf
+            leave = _min_ratio(ratio, Bw)
+            piv = col[ar, leave]
+            ok = piv >= PIVOT_MIN
+            if not ok.all():
+                small = (piv > ZERO_TOL) & ~ok
+                if small.any():
+                    leave[small] = _tiny_pivot(col[small], rhs[small], ratio[small],
+                                               Bw[small], leave[small])
+                    piv = col[ar, leave]
+                    ok = piv >= PIVOT_MIN
+                opened = piv <= ZERO_TOL
+                for k, p in zip(idx[~ok & ~opened], piv[~ok & ~opened]):
+                    errors[int(k)] = f"pivot {p:.3e} below {PIVOT_MIN:g}"
+                release(ok, np.where(opened, _OPEN, _FAILED))
+                if not idx.size:
+                    break
+                ar, enter, leave, col, piv = ar[:idx.size], enter[ok], leave[ok], col[ok], piv[ok]
+            # Column enter needs no reset: piv_row[enter] is piv / piv = 1,
+            # so every other row keeps its entry minus itself, exactly 0.
+            piv_row = Tw[ar, leave] / piv[:, None]
+            Tw -= col[:, :, None] * piv_row[:, None, :]
+            Tw[ar, leave] = piv_row
+            Bw[ar, leave] = enter
+            # tiny negative rhs is rounding noise
+            rhs = Tw[:, :, -1]
+            neg = rhs < 0.0
+            if neg.any():
+                rhs[neg & (rhs > -FEAS_TOL)] = 0.0
+            it += 1
+    return state, errors
+
+
+def phase_one_batch(A, d, rows):
+    """Phase 1 for a stack of systems: member k is A[k, :rows[k]] x <=
+    d[k, :rows[k]] (A is (S, M, n), d is (S, M); entries past a member's
+    rows are ignored). Returns their Starts.
+
+    Each system gets the standard form (x = u - v plus slacks; a row with
+    d < 0 is flipped and gets an artificial) and its artificials are
+    driven to zero, leftovers pivoted out or their redundant rows dropped.
+    A member that breaks down numerically gets an error instead of a
+    start; lp_max_batch raises it when an LP uses that start.
+    """
+    A = np.asarray(A, dtype=float)
+    d = np.asarray(d, dtype=float)
+    rows = np.asarray(rows, dtype=np.intp)
+    S, M, n = A.shape
+    if S > _CHUNK:
+        out = Starts.empty(S, M, n)
+        for k in range(0, S, _CHUNK):
+            out.put(slice(k, k + _CHUNK),
+                    phase_one_batch(A[k:k + _CHUNK], d[k:k + _CHUNK], rows[k:k + _CHUNK]))
+        return out
+    pad = np.arange(M) >= rows[:, None]
+    if pad.any():
+        A = np.where(pad[:, :, None], 0.0, A)
+        d = np.where(pad, 1.0, d)
+    flip = d < 0
+    sign = np.where(flip, -1.0, 1.0)
+    n_struct = 2 * n + M
+    n_art = flip.sum(axis=1)
+    T = np.zeros((S, M, n_struct + int(n_art.max(initial=0)) + 1))
+    T[:, :, :n] = sign[:, :, None] * A
+    T[:, :, n:2 * n] = -T[:, :, :n]
+    ar = np.arange(M)
+    T[:, ar, 2 * n + ar] = sign
+    T[:, :, -1] = sign * d
+    basis = np.repeat((2 * n + ar)[None], S, axis=0)
+    art = n_struct + np.cumsum(flip, axis=1) - 1
+    basis[flip] = art[flip]
+    fs, fr = flip.nonzero()
+    T[fs, fr, art[flip]] = 1.0
+
+    error = np.full(S, None, dtype=object)
+    feasible = np.ones(S, dtype=bool)
+    need = np.flatnonzero(n_art)
+    if need.size:
+        # Phase 1 maximizes minus the sum of the artificials: the reduced
+        # cost of a column is its sum over the rows with an artificial.
+        cost = np.zeros((need.size, T.shape[2] - 1))
+        cost[:, n_struct:] = -1.0
+        if need.size == S:
+            state, errs = _simplex(T, basis, cost, n_struct, rows, n, 1)
+        else:
+            Tn, Bn = T[need], basis[need]
+            state, errs = _simplex(Tn, Bn, cost, n_struct, rows[need], n, 1)
+            T[need], basis[need] = Tn, Bn
+        for k, msg in errs.items():
+            error[need[k]] = msg
+        error[need[state == _OPEN]] = "phase-1 column with no positive entry"
+        for k in need[state == _DONE]:
+            if (basis[k] >= n_struct).any():
+                feasible[k], error[k] = _finish_phase_one(T[k], basis[k], n_struct, n)
+        feasible &= error == None  # noqa: E711 (elementwise)
+    T = np.concatenate([T[:, :, :n_struct], T[:, :, -1:]], axis=2)
+    return Starts(A, d, rows, T, basis, feasible, error)
+
+
+def _finish_phase_one(T, basis, n_struct, n):
+    """One member with artificials left in its basis after phase 1: check
+    feasibility, then pivot each leftover out or drop its redundant row
+    (zeroed, its own slack as a dummy basic slot). Updates T and basis in
+    place; returns (feasible, error message or None)."""
+    art_rows = basis >= n_struct
+    if T[art_rows, -1].sum() > FEAS_TOL:
+        return False, None
+    drop = []
+    for r in np.flatnonzero(art_rows):
+        row = np.abs(T[r, :n_struct])
+        j = int(row.argmax())
+        if row[j] >= PIVOT_MIN:
+            piv_row = T[r] / T[r, j]
+            T -= T[:, j, None] * piv_row
+            T[r] = piv_row
+            basis[r] = j
+            rhs = T[:, -1]
+            rhs[(rhs < 0.0) & (rhs > -FEAS_TOL)] = 0.0
+        elif row[j] > ZERO_TOL:
+            return True, f"pivot {row[j]:.3e} below {PIVOT_MIN:g}"
+        else:
+            drop.append(r)
+    for r in drop:
+        T[r] = 0.0
+        basis[r] = 2 * n + r
+    return True, None
+
+
+def lp_max_batch(objectives, starts, which):
+    """Phase 2 for a stack of LPs: LP k maximizes objectives[k] . x over
+    system which[k] of starts (a Starts), from its phase-1 start. Several
+    LPs may share one start; starts is never modified.
+
+    Returns an LPBatch. Raises the DegenerateLPError of the first LP (in
+    stack order) whose start or whose own phase 2 broke down.
+    """
+    c = np.asarray(objectives, dtype=float)
+    which = np.asarray(which, dtype=np.intp)
+    L, n = c.shape
+    rows = starts.rows[which]
+    optimal = starts.feasible[which]
+    value = np.empty(L)
+    value.fill(np.nan)
+    point = np.empty((L, n))
+    point.fill(np.nan)
+    errors = {}
+    if not optimal.all():
+        error = starts.error[which]
+        errors = {int(k): error[k] for k in np.flatnonzero(error != None)}  # noqa: E711
+    solve = np.flatnonzero(optimal & (rows > 0))
+    if solve.size < optimal.sum():
+        empty = optimal & (rows == 0)
+        unbounded = empty & (np.abs(c) > FEAS_TOL).any(axis=1)
+        optimal[unbounded], value[unbounded] = False, np.inf
+        value[empty & ~unbounded], point[empty & ~unbounded] = 0.0, 0.0
+    for k in range(0, solve.size, _CHUNK):
+        _phase_two(c, starts, which, rows, solve[k:k + _CHUNK], optimal, value, point,
+                   errors)
+    if errors:
+        raise DegenerateLPError(errors[min(errors)])
+    return LPBatch(optimal, value, point)
+
+
+def _phase_two(c, starts, which, rows, solve, optimal, value, point, errors):
+    """Phase 2 of the LPs solve of lp_max_batch as one lockstep stack,
+    results written into optimal, value, point and errors."""
+    n = c.shape[1]
+    T = starts.tableau[which[solve]]
+    basis = starts.basis[which[solve]]
+    K = T.shape[2] - 1
+    cost = np.zeros((solve.size, K))
+    cost[:, :n] = c[solve]
+    cost[:, n:2 * n] = -c[solve]
+    state, errs = _simplex(T, basis, cost, K, rows[solve], n, 2)
+    for j, msg in errs.items():
+        errors[int(solve[j])] = msg
+    gone = solve[state != _DONE]
+    optimal[gone] = False
+    value[gone] = np.where(state[state != _DONE] == _OPEN, np.inf, np.nan)
+    done = np.flatnonzero(state == _DONE)
+    x = np.zeros((done.size, K))
+    x[np.arange(done.size)[:, None], basis[done]] = T[done, :, -1]
+    pts = x[:, :n] - x[:, n:2 * n]
+    k = solve[done]
+    point[k] = pts
+    value[k] = np.matmul(c[k][:, None, :], pts[:, :, None])[:, 0, 0]
+
+
 def phase_one(A, d):
     """Phase 1 of the simplex for {x : A x <= d}: one feasible start that
-    serves every objective over the system.
-
-    Builds the standard form (x = u - v plus slacks; a row with d < 0 is
-    flipped and gets an artificial) and drives the artificials to zero,
-    pivoting leftovers out or dropping their redundant rows. Phase 1 never
-    reads the objective. Raises DegenerateLPError on numeric breakdown.
+    serves every objective over the system (a phase_one_batch of one).
+    Raises DegenerateLPError on numeric breakdown.
     """
     A_f = np.asarray(A, dtype=float)
     d_f = np.atleast_1d(np.asarray(d, dtype=float))
     if A_f.ndim != 2 or A_f.shape[0] != d_f.shape[0]:
         raise ShapeError(f"LP shapes inconsistent: A{A_f.shape} d{d_f.shape}")
     m, n = A_f.shape
-
-    # Standard form: x = u - v, slack s; flipped rows get an artificial.
-    flip = d_f < 0
-    sign = np.where(flip, -1.0, 1.0)
-    n_struct = 2 * n + m
-    n_art = int(flip.sum())
-    T = np.zeros((m, n_struct + n_art + 1))
-    T[:, :n] = sign[:, None] * A_f
-    T[:, n:2 * n] = -T[:, :n]
-    T[:, 2 * n:n_struct] = np.diag(sign)
-    T[:, -1] = sign * d_f
-    basis = 2 * n + np.arange(m)
-    basis[flip] = n_struct + np.arange(n_art)
-    T[flip, basis[flip]] = 1.0
-
-    if n_art > 0:
-        for _ in range(_max_iter(m, n)):
-            art_rows = basis >= n_struct
-            if not art_rows.any():
-                break
-            rate = T[art_rows, :n_struct].sum(axis=0)
-            eligible = (rate > FEAS_TOL).nonzero()[0]
-            if eligible.size == 0:
-                break
-            enter = int(eligible[0])
-            leave = _ratio_row(T, basis, enter)
-            if leave is None:
-                raise DegenerateLPError("phase-1 column with no positive entry")
-            _pivot(T, basis, leave, enter)
-        else:
-            raise DegenerateLPError("phase-1 iteration limit reached")
-        infeas = T[basis >= n_struct, -1].sum()
-        if infeas > FEAS_TOL:
-            return LPStart(A, d, m, n, None, None)
-        # Pivot leftover artificials out, or drop their redundant rows.
-        drop = []
-        for r in np.flatnonzero(basis >= n_struct):
-            row = np.abs(T[r, :n_struct])
-            j = int(row.argmax())
-            if row[j] >= PIVOT_MIN:
-                _pivot(T, basis, r, j)
-            elif row[j] > ZERO_TOL:
-                raise DegenerateLPError(f"pivot {row[j]:.3e} below {PIVOT_MIN:g}")
-            else:
-                drop.append(r)
-        if drop:
-            keep = np.setdiff1d(np.arange(T.shape[0]), drop)
-            T = T[keep]
-            basis = basis[keep]
-        T = np.hstack([T[:, :n_struct], T[:, -1:]])
-    T.flags.writeable = False
-    basis.flags.writeable = False
-    return LPStart(A, d, m, n, T, basis)
+    starts = phase_one_batch(A_f[None], d_f[None], [m])
+    if starts.error[0] is not None:
+        raise DegenerateLPError(starts.error[0])
+    for f in _START_FIELDS:
+        getattr(starts, f).flags.writeable = False
+    return LPStart(A, d, m, n, starts)
 
 
 def lp_max(objective, A, d, start=None):
-    """Maximize objective . x over {x : A x <= d} with x unrestricted in sign.
+    """Maximize objective . x over {x : A x <= d} with x unrestricted in sign
+    (an lp_max_batch of one).
 
     start is phase_one(A, d) for these very A and d objects (a start built
     from others raises ValueError); without one, phase 1 runs here. Only
@@ -201,38 +464,9 @@ def lp_max(objective, A, d, start=None):
         start = phase_one(A, d)
     elif start.A is not A or start.d is not d:
         raise ValueError("start was built from a different constraint system")
-    n = start.n
-    if c.shape != (n,):
-        raise ShapeError(f"objective shape {c.shape} != ({n},) variables")
-
-    if start.m == 0:
-        if np.any(np.abs(c) > FEAS_TOL):
-            return LPResult(UNBOUNDED, np.inf, None)
-        return LPResult(OPTIMAL, 0.0, np.zeros(n))
-    if not start.feasible:
-        return LPResult(INFEASIBLE, np.nan, None)
-
-    # Phase 2: maximize the real objective.
-    T = start.tableau.copy()
-    basis = start.basis.copy()
-    n_struct = T.shape[1] - 1
-    c_ext = np.zeros(n_struct)
-    c_ext[:n] = c
-    c_ext[n:2 * n] = -c
-    for _ in range(_max_iter(start.m, n)):
-        reduced = c_ext - c_ext[basis] @ T[:, :n_struct]
-        eligible = (reduced > FEAS_TOL).nonzero()[0]
-        if eligible.size == 0:
-            x = np.zeros(n_struct)
-            x[basis] = T[:, -1]
-            point = x[:n] - x[n:2 * n]
-            return LPResult(OPTIMAL, float(c @ point), point)
-        enter = int(eligible[0])
-        leave = _ratio_row(T, basis, enter)
-        if leave is None:
-            return LPResult(UNBOUNDED, np.inf, None)
-        _pivot(T, basis, leave, enter)
-    raise DegenerateLPError("phase-2 iteration limit reached")
+    if c.shape != (start.n,):
+        raise ShapeError(f"objective shape {c.shape} != ({start.n},) variables")
+    return lp_max_batch(c[None], start.starts, [0])[0]
 
 
 def lp_feasible(A, d):

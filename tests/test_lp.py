@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from nnbisim import BoxBatch, DegenerateLPError, lp_feasible, lp_max, phase_one
-from nnbisim.lp import INFEASIBLE, OPTIMAL, UNBOUNDED
+from nnbisim.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, lp_max_batch,
+                        phase_one_batch)
 
 
 class TestStatuses:
@@ -231,3 +232,119 @@ class TestPhaseOneReuse:
         start = phase_one(A, d)
         assert not start.feasible
         assert lp_max([1.0], A, d, start=start).status == INFEASIBLE
+
+
+# The unit box cut by one badly scaled row through the origin: the ratio
+# test's tiny-pivot fallback decides these (see TestDegenerate).
+BADLY_SCALED = [np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0], cut])
+                for cut in ([1e-12, 1.0], [1.0, 1e-12], [3e-12, 0.5])]
+
+
+@st.composite
+def system_rows(draw, n):
+    """One system A x <= d with n variables: quarter-step rows and
+    right-hand sides of either sign (negative ones need an artificial),
+    duplicate and scaled rows (leftover artificials, dropped rows), an
+    optional contradicting row (infeasible), or one of BADLY_SCALED."""
+    if n == 2 and draw(st.integers(0, 5)) == 0:
+        return draw(st.sampled_from(BADLY_SCALED)), np.array([1.0, 1.0, 1.0, 1.0, 0.0])
+    coef = st.integers(-8, 8).map(lambda k: k / 4.0)
+    rows = draw(st.lists(st.lists(coef, min_size=n, max_size=n), min_size=1, max_size=6))
+    rhs = draw(st.lists(st.integers(-6, 6).map(lambda k: k / 4.0),
+                        min_size=len(rows), max_size=len(rows)))
+    for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(0, len(rows) - 1))
+        scale = draw(st.sampled_from([1.0, 2.0]))
+        rows.append([scale * v for v in rows[k]])
+        rhs.append(scale * rhs[k] + draw(st.sampled_from([0.0, 0.5])))
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(rows) - 1))
+        rows.append([-v for v in rows[k]])
+        rhs.append(-rhs[k] - draw(st.sampled_from([0.0, 1.0])))
+    return np.array(rows), np.array(rhs)
+
+
+@st.composite
+def lp_stack(draw):
+    """Systems of different row counts over the same variables, and LPs
+    on them: (systems, [(system index, objective), ...])."""
+    n = draw(st.integers(1, 3))
+    systems = draw(st.lists(system_rows(n), min_size=1, max_size=5))
+    coef = st.integers(-8, 8).map(lambda k: k / 4.0)
+    lps = draw(st.lists(st.tuples(st.integers(0, len(systems) - 1),
+                                  st.lists(coef, min_size=n, max_size=n)),
+                        min_size=1, max_size=8))
+    return systems, [(k, np.array(c)) for k, c in lps]
+
+
+def stacked_outcomes(systems, lps):
+    """Every LP of lps solved in one phase_one_batch and one lp_max_batch,
+    as outcome() data, or the error the batch raised."""
+    n = systems[0][0].shape[1]
+    M = max(len(d) for _, d in systems)
+    A = np.zeros((len(systems), M, n))
+    d = np.full((len(systems), M), 7.0)  # ignored past each system's rows
+    for k, (Ak, dk) in enumerate(systems):
+        A[k, :len(dk)], d[k, :len(dk)] = Ak, dk
+    try:
+        starts = phase_one_batch(A, d, [len(dk) for _, dk in systems])
+        res = lp_max_batch(np.array([c for _, c in lps]), starts, [k for k, _ in lps])
+    except DegenerateLPError as exc:
+        return ("raised", str(exc))
+    return [(r.status, np.float64(r.value).tobytes(),
+             None if r.point is None else r.point.tobytes())
+            for r in (res[j] for j in range(len(lps)))]
+
+
+class TestBatchedSolver:
+    """A stack of LPs gives each member what its batch of one gives."""
+
+    @staticmethod
+    def expected(systems, lps):
+        singles = [outcome(c, *systems[k]) for k, c in lps]
+        raised = [o for o in singles if o[0] == "raised"]
+        return raised[0] if raised else singles
+
+    @settings(max_examples=300, deadline=None)
+    @given(lp_stack(), st.randoms(use_true_random=False))
+    def test_members_match_batches_of_one(self, stack, rnd):
+        systems, lps = stack
+        assert stacked_outcomes(systems, lps) == self.expected(systems, lps)
+        # Permuting the systems and the LPs changes no member's result.
+        order = list(range(len(systems)))
+        rnd.shuffle(order)
+        moved = [systems[k] for k in order]
+        where = {k: i for i, k in enumerate(order)}
+        perm = list(range(len(lps)))
+        rnd.shuffle(perm)
+        shuffled = [(where[lps[j][0]], lps[j][1]) for j in perm]
+        got = stacked_outcomes(moved, shuffled)
+        want = self.expected(moved, shuffled)
+        assert got == want
+
+    def test_badly_scaled_systems_in_one_stack(self):
+        # Every member needs the tiny-pivot fallback, with other rows and
+        # objectives around it.
+        systems = [(A, np.array([1.0, 1.0, 1.0, 1.0, 0.0])) for A in BADLY_SCALED]
+        systems.append((np.array([[1.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]),
+                        np.array([2.0, -0.5, 1.0])))
+        lps = [(k, np.array(c)) for k in range(4)
+               for c in ([1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [1.0, 1.0], [-0.5, 2.0])]
+        got = stacked_outcomes(systems, lps)
+        assert got == self.expected(systems, lps)
+        assert all(o[0] == OPTIMAL for o in got)
+
+    def test_breakdown_raises_for_the_first_lp_in_stack_order(self):
+        # 5e-12 x <= 1 breaks down in phase 2 (tiny pivot), the 1e4 / 1e-12
+        # pair as well with another pivot in its message; the first system
+        # is fine.
+        fine = (np.array([[1.0], [-1.0]]), np.array([1.0, 1.0]))
+        tiny = (np.array([[5e-12]]), np.array([1.0]))
+        steep = (np.array([[1.0], [1e-12]]), np.array([1e4, 0.0]))
+        for systems in ([fine, tiny, steep], [fine, steep, tiny]):
+            lps = [(0, np.array([1.0])), (1, np.array([1.0])), (2, np.array([1.0]))]
+            want = self.expected(systems, lps)
+            assert want[0] == "raised" and want[1].startswith(
+                "pivot 5.000e-12" if systems[1] is tiny else "pivot 1.000e-12")
+            assert stacked_outcomes(systems, lps) == want
+            assert stacked_outcomes(systems, lps[::-1]) == self.expected(systems, lps[::-1])

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 import nnbisim.lp
 import nnbisim.star
-from nnbisim import (IDENTITY, OPTIMAL, RELU, Box, Layer, LinearSpec, LPResult,
+from nnbisim import (IDENTITY, RELU, Box, Layer, LinearSpec,
                      Network, ResourceLimitError, Star, Verdict, bisim_error_upper,
                      box_to_star, lp_feasible, lp_max, merge, random_network,
                      reach_stars, star_sup_norm, sup_norm_box, verify)
+from nnbisim.lp import LPBatch
 from nnbisim.safety import SAFE, SEARCH_SAMPLES, UNCERTAIN, UNSAFE
 from conftest import reach_box, star_contains, union_contains
 
@@ -19,6 +20,22 @@ def bounding_box(star):
     """The star's LP bounding box, one coord_range per output coordinate."""
     lows, highs = zip(*(star.coord_range(i) for i in range(star.dim)))
     return Box(np.array(lows), np.array(highs))
+
+
+def affine(star, W, b):
+    """The star's image under y = W x + b, with its point and predicate box."""
+    W, b = np.atleast_2d(W), np.atleast_1d(b)
+    out = Star(W @ star.center + b, W @ star.basis, star.constr_mat, star.constr_rhs)
+    out.point, out.pred_box = star.point, star.pred_box
+    return out
+
+
+def with_constraint(star, a, b):
+    """The star cut by a @ pred <= b: it keeps the predicate box, not the point."""
+    out = Star(star.center, star.basis, np.vstack([star.constr_mat, a]),
+               np.append(star.constr_rhs, b))
+    out.pred_box = star.pred_box
+    return out
 
 
 def vee_layer_net():
@@ -55,7 +72,8 @@ class TestStarInvariants:
             reach_stars(random_network([1, 3, 1], 1.0, seed=0), star)
 
     def test_affine_map(self):
-        s = box_to_star(Box([0.0], [2.0])).affine([[3.0]], [1.0])
+        net = Network(1, [Layer.linear([[3.0]], [1.0])])
+        s = reach_stars(net, box_to_star(Box([0.0], [2.0])))[0]
         assert np.allclose(s.center, [4.0])
         assert np.allclose(s.basis, [[3.0]])
 
@@ -70,8 +88,8 @@ class TestStarInvariants:
         # On a sliver star the two range LPs can cross by rounding; the
         # range must come back ordered, and the bounding box must build.
         star = Star([0.0], [[1e-9]], [[1.0], [-1.0]], [1.0, 1.0])
-        monkeypatch.setattr(nnbisim.star, "lp_max",
-                            lambda c, A, d, **kw: LPResult(OPTIMAL, -1e-17, None))
+        monkeypatch.setattr(nnbisim.star, "lp_max_batch", lambda c, starts, which: LPBatch(
+            np.ones(len(c), dtype=bool), np.full(len(c), -1e-17), np.zeros((len(c), 1))))
         assert star.coord_range(0) == (-1e-17, 1e-17)
         box = bounding_box(star)
         assert box.lower[0] == -1e-17 and box.upper[0] == 1e-17
@@ -168,7 +186,7 @@ class TestSupNorm:
     def test_nan_center_after_finite_star_propagates(self):
         finite = box_to_star(Box([5.0], [6.0]))
         small = box_to_star(Box([0.0], [0.5]))
-        nan_star = box_to_star(Box([0.0], [1.0])).affine([[1.0]], [np.nan])
+        nan_star = affine(box_to_star(Box([0.0], [1.0])), [[1.0]], [np.nan])
         for stars in ([finite, nan_star], [finite, nan_star, small],
                       [small, finite, nan_star]):
             assert math.isnan(star_sup_norm(stars, "inf"))
@@ -277,7 +295,7 @@ def input_star(draw, box):
     # min of a @ pred over [-1, 1]^n is -||a||_1, so t >= -0.5 keeps it feasible
     b = draw(st.floats(-0.5, 1.0)) * np.abs(a).sum()
     if kind == "cut":
-        return star.with_constraint(a, b)
+        return with_constraint(star, a, b)
     return Star(star.center, star.basis, np.vstack([star.constr_mat, a]),
                 np.append(star.constr_rhs, b))
 
@@ -329,20 +347,22 @@ class TestPrunedMatchesReference:
     def test_phase_one_once_per_constraint_set(self, monkeypatch):
         big, small, box, ref = baseline_pair()
         calls, systems, runs = [], set(), []
-        real_lp, real_phase_one = nnbisim.star.lp_max, nnbisim.lp.phase_one
+        real_lp, real_phase_one = nnbisim.star.lp_max_batch, nnbisim.star.phase_one_batch
 
-        def counted_lp(c, A, d, **kw):
-            calls.append(1)
-            systems.add((A.shape, A.tobytes(), d.tobytes()))
-            return real_lp(c, A, d, **kw)
+        def counted_lp(c, starts, which):
+            # one logical LP per row of the batch
+            for k in which:
+                calls.append(1)
+                A, d = starts.A[k, :starts.rows[k]], starts.d[k, :starts.rows[k]]
+                systems.add((A.shape, A.tobytes(), d.tobytes()))
+            return real_lp(c, starts, which)
 
-        def counted_phase_one(A, d):
-            runs.append(1)
-            return real_phase_one(A, d)
+        def counted_phase_one(A, d, rows):
+            runs.extend(rows)
+            return real_phase_one(A, d, rows)
 
-        monkeypatch.setattr(nnbisim.star, "lp_max", counted_lp)
-        monkeypatch.setattr(nnbisim.star, "phase_one", counted_phase_one)
-        monkeypatch.setattr(nnbisim.lp, "phase_one", counted_phase_one)
+        monkeypatch.setattr(nnbisim.star, "lp_max_batch", counted_lp)
+        monkeypatch.setattr(nnbisim.star, "phase_one_batch", counted_phase_one)
         bound = bisim_error_upper(big, small, box, method="exact")
         # Sharing phase 1 changes no LP: the same 774 calls on 201 systems.
         assert len(calls) == 774
@@ -352,9 +372,9 @@ class TestPrunedMatchesReference:
     def test_lp_count_on_baseline_pair(self, monkeypatch):
         big, small, box, ref = baseline_pair()
         calls = []
-        real = nnbisim.star.lp_max
-        monkeypatch.setattr(nnbisim.star, "lp_max",
-                            lambda c, A, d, **kw: calls.append(1) or real(c, A, d, **kw))
+        real = nnbisim.star.lp_max_batch
+        monkeypatch.setattr(nnbisim.star, "lp_max_batch",
+                            lambda c, s, which: calls.extend(which) or real(c, s, which))
         bound = bisim_error_upper(big, small, box, method="exact")
         # Two LPs per decision and per output bound make 2122 calls.
         assert len(calls) <= 1061
