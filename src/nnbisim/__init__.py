@@ -13,8 +13,7 @@ from .errors import (DegenerateLPError, MergePreconditionError, NumericError,
 from .formats import (NNetMeta, eval_normalized, parse_json_net, parse_nnet,
                       parse_problem, write_json_net, write_nnet)
 from .interval import BoxBatch, reach_box_split, split_box
-from .lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, LPStart,
-                 lp_feasible, lp_max, phase_one)
+from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, lp_feasible, lp_max
 from .merge import merge
 from .network import (IDENTITY, RELU, Box, Layer, Network, random_network,
                       validate)

@@ -19,11 +19,14 @@ operations, and a member leaves the stack as soon as it is finished.
 Systems with fewer rows than the stack are padded with inert rows
 0.x <= 1 whose slack is basic and never leaves; the padding columns come
 after the member's own slacks, so Bland's rule and the tie-break pick
-what they pick for the member alone. phase_one and lp_max are batches of
-one, so there is a single solver path. Padding can move a reduced cost
-in its last bit (the BLAS sums it in another order), but reduced costs
-are only ever compared with FEAS_TOL; the pivots are elementwise and the
+what they pick for the member alone. Padding can move a reduced cost in
+its last bit (the BLAS sums it in another order), but reduced costs are
+only ever compared with FEAS_TOL; the pivots are elementwise and the
 same with or without padding.
+
+lp_max solves one LP as a batch of one, so there is a single solver
+path; it is the reference that the batched callers are tested against.
+lp_feasible tests one system for a feasible point.
 """
 
 from dataclasses import dataclass
@@ -133,31 +136,6 @@ class Starts:
 
 
 _START_FIELDS = ("A", "d", "rows", "tableau", "basis", "feasible", "error")
-
-
-@dataclass(frozen=True)
-class LPStart:
-    """phase_one's start for one constraint system {x : A x <= d}, m rows
-    and n variables: a read-only Starts of one, tied to the A and d
-    objects it was built from."""
-
-    A: object
-    d: object
-    m: int
-    n: int
-    starts: Starts
-
-    @property
-    def feasible(self):
-        return bool(self.starts.feasible[0])
-
-    @property
-    def tableau(self):
-        return self.starts.tableau[0] if self.feasible else None
-
-    @property
-    def basis(self):
-        return self.starts.basis[0] if self.feasible else None
 
 
 def _max_iter(m, n):
@@ -427,46 +405,23 @@ def _phase_two(c, starts, which, rows, solve, optimal, value, point, errors):
     value[k] = np.matmul(c[k][:, None, :], pts[:, :, None])[:, 0, 0]
 
 
-def phase_one(A, d):
-    """Phase 1 of the simplex for {x : A x <= d}: one feasible start that
-    serves every objective over the system (a phase_one_batch of one).
-    Raises DegenerateLPError on numeric breakdown.
-    """
-    A_f = np.asarray(A, dtype=float)
-    d_f = np.atleast_1d(np.asarray(d, dtype=float))
-    if A_f.ndim != 2 or A_f.shape[0] != d_f.shape[0]:
-        raise ShapeError(f"LP shapes inconsistent: A{A_f.shape} d{d_f.shape}")
-    m, n = A_f.shape
-    starts = phase_one_batch(A_f[None], d_f[None], [m])
-    if starts.error[0] is not None:
-        raise DegenerateLPError(starts.error[0])
-    for f in _START_FIELDS:
-        getattr(starts, f).flags.writeable = False
-    return LPStart(A, d, m, n, starts)
-
-
-def lp_max(objective, A, d, start=None):
-    """Maximize objective . x over {x : A x <= d} with x unrestricted in sign
-    (an lp_max_batch of one).
-
-    start is phase_one(A, d) for these very A and d objects (a start built
-    from others raises ValueError); without one, phase 1 runs here. Only
-    phase 2, on a copy of the start's tableau, depends on the objective.
+def lp_max(objective, A, d):
+    """Maximize objective . x over {x : A x <= d} with x unrestricted in sign:
+    a phase_one_batch and an lp_max_batch of one.
 
     Returns an LPResult whose value/point are only meaningful when the
     status is optimal. Raises DegenerateLPError on numeric breakdown.
     """
     c = np.atleast_1d(np.asarray(objective, dtype=float))
-    if start is None:
-        A = np.asarray(A, dtype=float)
-        if A.size == 0:  # an empty system may come without its column count
-            A = A.reshape(np.size(d), c.shape[0])
-        start = phase_one(A, d)
-    elif start.A is not A or start.d is not d:
-        raise ValueError("start was built from a different constraint system")
-    if c.shape != (start.n,):
-        raise ShapeError(f"objective shape {c.shape} != ({start.n},) variables")
-    return lp_max_batch(c[None], start.starts, [0])[0]
+    A = np.asarray(A, dtype=float)
+    d = np.atleast_1d(np.asarray(d, dtype=float))
+    if A.size == 0:  # an empty system may come without its column count
+        A = A.reshape(d.shape[0], c.shape[0])
+    if A.ndim != 2 or A.shape[0] != d.shape[0]:
+        raise ShapeError(f"LP shapes inconsistent: A{A.shape} d{d.shape}")
+    if c.shape != (A.shape[1],):
+        raise ShapeError(f"objective shape {c.shape} != ({A.shape[1]},) variables")
+    return lp_max_batch(c[None], phase_one_batch(A[None], d[None], [len(d)]), [0])[0]
 
 
 def lp_feasible(A, d):

@@ -17,20 +17,22 @@ Reachability Analysis of Deep Neural Networks", FM 2019). Star counts and
 suprema are those of running both range LPs at every neuron.
 
 reach_stars works one (layer, ReLU neuron) step at a time on all stars
-at once, held as stacked arrays: centres (N, dim), bases (N, dim, p),
-carried points (N, p), and the constraint systems padded to the step's
-largest row count together with their phase-1 starts (lp.Starts). A step
-computes the closed-form bounds and the point test for every star, then
-solves all range LPs that are left in one lp_max_batch, after one
-phase_one_batch for the systems that have no start yet. Stacked dot
-products go through np.matmul, whose per-row BLAS dot is bit for bit the
-x @ y of one star, so the stars and suprema are those of handling each
-star on its own.
+at once, held as a StarSet of stacked arrays: centres (N, dim), bases
+(N, dim, p), carried points (N, p), and the constraint systems padded to
+the step's largest row count together with their phase-1 starts
+(lp.Starts). A step computes the closed-form bounds and the point test
+for every star, then solves all range LPs that are left in one
+lp_max_batch, after one phase_one_batch for the systems that have no
+start yet. Stacked products go through np.matmul, whose per-star BLAS
+call is bit for bit the product of one star, so the stars and suprema
+are those of handling each star on its own.
 
-reach_stars returns a StarSet, which bisim.reach hands out for the exact
-method. It has the members of interval.BoxBatch: closed-form bounds,
-sup_norm, an LP intersection test and witness-search centres. Its stars
-keep their phase-1 starts for the sup-norm LPs.
+reach_stars returns the last step's StarSet, which bisim.reach hands out
+for the exact method. It has the members of interval.BoxBatch:
+closed-form bounds, sup_norm, an LP intersection test and witness-search
+centres, and it builds a Star only when indexed. star_sup_norm solves
+the range LPs of every star that can hold the supremum in one more
+lp_max_batch, from the starts that the steps left.
 
 Practical on small networks only; the star count is capped.
 """
@@ -47,8 +49,8 @@ from .norms import LINF, batch_norms, sup_norm_box
 
 DEFAULT_STAR_CAP = 10**5
 # A closed-form bound or a carried point decides a question only when it
-# clears zero (or the best supremum so far) by this relative margin, which
-# dwarfs the LP's feasibility tolerance.
+# clears zero (or a lower bound on the supremum) by this relative margin,
+# which dwarfs the LP's feasibility tolerance.
 DECIDE_TOL = 1e-7
 
 
@@ -57,9 +59,7 @@ class Star:
 
     point is a feasible predicate point (None when unknown) and pred_box
     a (lower, upper) pair of arrays bounding the predicate polytope (None
-    when unknown). The phase-1 start of the constraint system, a
-    (Starts, index) pair, is built on the first LP or carried over from
-    reach_stars.
+    when unknown).
     """
 
     def __init__(self, center, basis, constr_mat, constr_rhs):
@@ -69,7 +69,6 @@ class Star:
         self.constr_rhs = np.atleast_1d(np.asarray(constr_rhs, dtype=float))
         self.point = None
         self.pred_box = None
-        self._start = None
         p = self.basis.shape[1]
         if self.constr_mat.size == 0:
             self.constr_mat = self.constr_mat.reshape(self.constr_rhs.shape[0], p)
@@ -82,62 +81,50 @@ class Star:
     def dim(self):
         return self.center.shape[0]
 
-    def _solve(self, objectives):
-        """lp_max_batch of objectives over the predicate polytope, from the
-        star's phase-1 start (built here on first use)."""
-        if self._start is None:
-            self._start = (phase_one_batch(self.constr_mat[None], self.constr_rhs[None],
-                                           [len(self.constr_rhs)]), 0)
-        starts, k = self._start
-        return lp_max_batch(objectives, starts, np.full(len(objectives), k))
-
-    def _ranges(self, coords):
-        """Exact (lower, upper) arrays of the output coordinates coords over
-        the star: two LPs per coordinate that is not constant, one batch."""
-        off = self.center[coords]
-        rows = self.basis[coords]
-        lower, upper = off.copy(), off.copy()
-        live = np.flatnonzero((np.abs(rows) > 0.0).any(axis=1))
-        if live.size:
-            sign = np.tile([1.0, -1.0], live.size)
-            who = np.repeat(live, 2)
-            res = self._solve(sign[:, None] * rows[who])
-            ext = np.where(res.optimal, off[who] + sign * res.value, sign * np.inf)
-            upper[live], lower[live] = ext[0::2], ext[1::2]
-        # On a sliver star the two LPs can cross by rounding (~1e-17);
-        # the ordered pair still contains both answers.
-        return _ordered(lower, upper)
-
-    def coord_range(self, i):
-        """Exact [lo, hi] of output coordinate i over the star (via two LPs)."""
-        lower, upper = self._ranges([i])
-        return lower[0], upper[0]
-
 
 class StarSet(Sequence):
-    """The stars of reach_stars, with the members of interval.BoxBatch.
+    """N stars as stacked arrays, with the members of interval.BoxBatch.
 
-    lower and upper are the closed-form (n, dim) outer bounds of
-    star_bounds, computed on first use. centers holds the input star's
-    centre (the box centre for box_to_star), which the witness search
-    tries first.
+    C (N, dim) centres, V (N, dim, p) bases, P (N, p) carried points (a
+    row of nan where a star has none), and the constraint systems A (N, M,
+    p), d (N, M) with rows (N,) rows each (rows past that read 0.a <= 1).
+    pred_box is a (lower, upper) pair of (N, p) arrays bounding each
+    star's predicate polytope (rows of -inf and inf where unknown), or of
+    (1, p) arrays when the stars share one, as the stars of reach_stars
+    share the input star's. pool holds the phase-1 starts of the systems
+    that have one, and sid (N,) the slot of each star's start in pool, or
+    -1.
+
+    Indexing builds the i-th Star. lower and upper are the closed-form
+    (N, dim) outer bounds, computed on first use; infinite predicate
+    bounds can give NaN entries, which no test treats as deciding
+    anything. centers holds the input star's centre (the box centre for
+    box_to_star), which the witness search tries first.
     """
 
     label = None  # the back-end that computed the set, set by bisim.reach
+    centers = None  # set by reach_stars
 
-    def __init__(self, stars, centers):
-        self.stars = stars
-        self.centers = centers
+    def __init__(self, C, V, P, A, d, rows, pred_box, sid, pool):
+        self.C, self.V, self.P = C, V, P
+        self.A, self.d, self.rows = A, d, rows
+        self.pred_box = pred_box
+        self.sid, self.pool = sid, pool
 
     def __len__(self):
-        return len(self.stars)
+        return len(self.C)
 
     def __getitem__(self, i):
-        return self.stars[i]
+        m = self.rows[i]
+        star = Star(self.C[i], self.V[i], self.A[i, :m], self.d[i, :m])
+        if not np.isnan(self.P[i]).any():
+            star.point = self.P[i]
+        star.pred_box = tuple(np.broadcast_to(b, self.P.shape)[i] for b in self.pred_box)
+        return star
 
     @cached_property
     def _bounds(self):
-        return star_bounds(self.stars)
+        return _image_bounds(self.C, self.V, *self.pred_box)
 
     @property
     def lower(self):
@@ -153,16 +140,48 @@ class StarSet(Sequence):
 
     def intersects(self, i, A, d):
         """True when star i meets {y : A y <= d}, by one LP."""
-        s = self.stars[i]
-        return lp_feasible(np.vstack([s.constr_mat, A @ s.basis]),
-                           np.concatenate([s.constr_rhs, d - A @ s.center]))
+        m = self.rows[i]
+        return lp_feasible(np.vstack([self.A[i, :m], A @ self.V[i]]),
+                           np.concatenate([self.d[i, :m], d - A @ self.C[i]]))
+
+    def _lp_max(self, objectives, systems):
+        """lp_max_batch of each objectives[j] over the system of star
+        systems[j], after one phase_one_batch for the systems without a
+        start, whose starts are then kept."""
+        missing = np.unique(systems[self.sid[systems] < 0])
+        if missing.size:
+            self.sid[missing] = self.pool.add(phase_one_batch(self.A[missing], self.d[missing],
+                                                              self.rows[missing]))
+        return lp_max_batch(objectives, self.pool.starts, self.sid[systems])
 
 
-def _image_bounds(c, V, lo, hi):
-    """Bounds of c + V a over lo <= a <= hi (V a row or a matrix)."""
+def _stack(stars):
+    """A list of Stars as a StarSet with no phase-1 starts yet; the
+    constraint systems are padded to the largest row count."""
+    N, p = len(stars), stars[0].basis.shape[1]
+    rows = np.array([len(s.constr_rhs) for s in stars])
+    A, d = np.zeros((N, rows.max(), p)), np.ones((N, rows.max()))
+    P = np.full((N, p), np.nan)
+    lo, hi = np.full((N, p), -np.inf), np.full((N, p), np.inf)
+    for k, s in enumerate(stars):
+        A[k, :rows[k]], d[k, :rows[k]] = s.constr_mat, s.constr_rhs
+        if s.point is not None:
+            P[k] = s.point
+        if s.pred_box is not None:
+            lo[k], hi[k] = s.pred_box
+    return StarSet(np.array([s.center for s in stars]), np.array([s.basis for s in stars]),
+                   P, A, d, rows, (lo, hi), np.full(N, -1, dtype=np.intp),
+                   _Pool(Starts.empty(0, rows.max(), p)))
+
+
+def _image_bounds(C, V, lo, hi):
+    """Bounds of C + V a over lo <= a <= hi for stacked C (N, dim), V (N,
+    dim, p) and lo, hi (N or 1, p), each product the one of its star."""
     Vp, Vn = np.maximum(V, 0.0), np.minimum(V, 0.0)
+    lo, hi = lo[:, :, None], hi[:, :, None]
     with np.errstate(invalid="ignore"):
-        return c + Vp @ lo + Vn @ hi, c + Vp @ hi + Vn @ lo
+        return (C + np.matmul(Vp, lo)[:, :, 0] + np.matmul(Vn, hi)[:, :, 0],
+                C + np.matmul(Vp, hi)[:, :, 0] + np.matmul(Vn, lo)[:, :, 0])
 
 
 def box_to_star(box):
@@ -181,34 +200,35 @@ def box_to_star(box):
     return star
 
 
-def _with_pred_box(star):
-    """A copy of star with a feasible point and its predicate box filled in.
+def _input_stack(star):
+    """The input star of reach_stars as a StarSet of one, with a feasible
+    point and its predicate box filled in where star has none.
 
     A missing point costs one LP, which also proves the constraint set
     feasible; a missing box costs 2p LPs, one per predicate bound. They
     run as one batch on one phase 1. Raises ValueError for an infeasible
     star.
     """
-    p = star.basis.shape[1]
-    out = Star(star.center, star.basis, star.constr_mat, star.constr_rhs)
-    out.point, out.pred_box, out._start = star.point, star.pred_box, star._start
+    st = _stack([star])
+    p = st.P.shape[1]
     objectives = []
-    if out.point is None:
+    if star.point is None:
         objectives.append(np.zeros((1, p)))
-    if out.pred_box is None:
+    if star.pred_box is None:
         objectives += [np.eye(p), -np.eye(p)]
     if not objectives:
-        return out
-    res = out._solve(np.vstack(objectives))
-    if out.point is None:
+        return st
+    objectives = np.vstack(objectives)
+    res = st._lp_max(objectives, np.zeros(len(objectives), dtype=np.intp))
+    if star.point is None:
         if not res.optimal[0]:
             raise ValueError("star constraint set is infeasible")
-        out.point = res.point[0]
-    if out.pred_box is None:
+        st.P[0] = res.point[0]
+    if star.pred_box is None:
         highs, lows = res.value[-2 * p:-p], res.value[-p:]
         ok_hi, ok_lo = res.optimal[-2 * p:-p], res.optimal[-p:]
-        out.pred_box = (np.where(ok_lo, -lows, -np.inf), np.where(ok_hi, highs, np.inf))
-    return out
+        st.pred_box = (np.where(ok_lo, -lows, -np.inf)[None], np.where(ok_hi, highs, np.inf)[None])
+    return st
 
 
 def _ordered(lower, upper):
@@ -250,39 +270,6 @@ class _Pool:
         return slots
 
 
-class _Stack:
-    """The stars of one reach_stars step as stacked arrays.
-
-    C (N, dim) centres, V (N, dim, p) bases, P (N, p) carried points (a
-    row of nan where a star has none), and the constraint systems A (N, M,
-    p), d (N, M) with rows (N,) rows each (rows past that read 0.a <= 1).
-    pool holds the phase-1 starts of the systems that have one, and sid
-    (N,) the slot of each star's start in pool, or -1. Every star shares
-    the input star's predicate box.
-    """
-
-    def __init__(self, C, V, P, A, d, rows, sid, pool):
-        self.C, self.V, self.P = C, V, P
-        self.A, self.d, self.rows = A, d, rows
-        self.sid, self.pool = sid, pool
-
-    def __len__(self):
-        return len(self.C)
-
-    def stars(self, pred_box):
-        out = []
-        for k in range(len(self.C)):
-            m = self.rows[k]
-            s = Star(self.C[k], self.V[k], self.A[k, :m], self.d[k, :m])
-            if not np.isnan(self.P[k]).any():
-                s.point = self.P[k]
-            s.pred_box = pred_box
-            if self.sid[k] >= 0:
-                s._start = (self.pool.starts, self.sid[k])
-            out.append(s)
-        return out
-
-
 def _range_lps(st, open_, rows, off, tol):
     """Range of neuron rows over the open stars, as far as a decision
     needs it: (lower, upper, point at the upper end, point at the lower
@@ -305,12 +292,7 @@ def _range_lps(st, open_, rows, off, tol):
     if flat.size:
         who, low = flat // 2, flat % 2 == 1
         sign = np.where(low, -1.0, 1.0)
-        systems = open_[who]
-        missing = np.unique(systems[st.sid[systems] < 0])
-        if missing.size:
-            st.sid[missing] = st.pool.add(phase_one_batch(st.A[missing], st.d[missing],
-                                                          st.rows[missing]))
-        res = lp_max_batch(sign[:, None] * rows[who], st.pool.starts, st.sid[systems])
+        res = st._lp_max(sign[:, None] * rows[who], open_[who])
         ext = np.where(res.optimal, off[who] + sign * res.value, sign * np.inf)
         upper[who[~low]], hi_pt[who[~low]] = ext[~low], res.point[~low]
         lower[who[low]], lo_pt[who[low]] = ext[low], res.point[low]
@@ -319,7 +301,7 @@ def _range_lps(st, open_, rows, off, tol):
 
 
 def _relu_step(st, i, pred_lo, pred_hi):
-    """Split every star of the stack on the sign of ReLU neuron i.
+    """Split every star of the set on the sign of ReLU neuron i.
 
     A star whose pre-activation is nonnegative is kept, one whose
     pre-activation is nonpositive gets output row i zeroed, and one that
@@ -371,7 +353,7 @@ def _relu_step(st, i, pred_lo, pred_hi):
     z = np.concatenate([first[code == 1], neg])
     C[z, i] = 0.0
     V[z, i, :] = 0.0
-    return _Stack(C, V, P, A, d, rows, sid, st.pool)
+    return StarSet(C, V, P, A, d, rows, st.pred_box, sid, st.pool)
 
 
 def reach_stars(net, star, star_cap=DEFAULT_STAR_CAP):
@@ -385,16 +367,8 @@ def reach_stars(net, star, star_cap=DEFAULT_STAR_CAP):
         raise ShapeError(f"star dim {star.dim} != input_dim {net.input_dim}")
     if star_cap < 1:
         raise ValueError("star_cap must be >= 1")
-    first = _with_pred_box(star)
-    A, d = first.constr_mat[None], first.constr_rhs[None]
-    rows = np.array([len(first.constr_rhs)])
-    if first._start is None:
-        pool, sid = _Pool(Starts.empty(0, rows[0], A.shape[2])), np.array([-1])
-    else:
-        pool, sid = _Pool(first._start[0].take([first._start[1]])), np.array([0])
-    st = _Stack(first.center[None, :], first.basis[None], first.point[None, :].copy(),
-                A, d, rows, sid, pool)
-    pred_lo, pred_hi = first.pred_box
+    st = _input_stack(star)
+    pred_lo, pred_hi = (b[0] for b in st.pred_box)
     for k, lay in enumerate(net.layers):
         with np.errstate(over="ignore", invalid="ignore"):
             st.C = np.matmul(lay.weights, st.C[:, :, None])[:, :, 0] + lay.bias
@@ -407,41 +381,47 @@ def reach_stars(net, star, star_cap=DEFAULT_STAR_CAP):
             if len(st) > star_cap:
                 raise ResourceLimitError(
                     f"star count {len(st)} exceeds cap {star_cap}")
-    return StarSet(st.stars(first.pred_box), star.center[None, :])
+    # Keep only the starts of the returned stars: no freed slots, no room.
+    has = np.flatnonzero(st.sid >= 0)
+    st.pool = _Pool(st.pool.starts.take(st.sid[has]))
+    st.sid[has] = np.arange(has.size)
+    st.centers = star.center[None, :]
+    return st
 
 
 def star_sup_norm(stars, norm=LINF):
-    """sup of ||y|| over a union of stars.
+    """sup of ||y|| over a union of stars: a StarSet or a list of Stars.
 
     Exact for the max norm. For the euclidean norm the per-coordinate
     extremes give sqrt(sum_i max(lo_i^2, hi_i^2)), an upper bound on the
     true supremum (exact maximization of a convex norm is not attempted).
 
-    Stars are visited from the largest closed-form bound down, and a star
-    whose bound cannot beat the best value so far skips its LPs. A NaN
+    The largest norm at the stars' carried points, L, is a lower bound
+    that needs no LP. Every star whose closed-form bound can reach L is
+    solved: both ends of each output coordinate that is not constant, all
+    in one lp_max_batch, after one phase_one_batch for the systems
+    without a start. The star that attains the supremum is among them and
+    none exceeds it, so the result is that of solving every star. A NaN
     anywhere propagates to the result.
     """
     if not stars:
         raise ValueError("empty star list")
-    lower, upper = star_bounds(stars)
-    caps = batch_norms(np.maximum(np.abs(lower), np.abs(upper)), norm)
-    best = 0.0
-    for k in np.argsort(-caps, kind="stable"):
-        if caps[k] < best - DECIDE_TOL * (1.0 + best):
-            continue
-        lows, highs = stars[k]._ranges(np.arange(stars[k].dim))
-        best = np.maximum(best, sup_norm_box(BoxBatch([lows], [highs]), norm))
-    return float(best)
-
-
-def star_bounds(stars):
-    """Closed-form (n, dim) outer bounds (lower, upper) of n stars, no LP.
-
-    They come from each star's predicate box; a star without one gets
-    infinite bounds. Infinite predicate bounds can give NaN entries, which
-    no test treats as deciding anything.
-    """
-    lower, upper = zip(*(
-        _image_bounds(s.center, s.basis, *s.pred_box) if s.pred_box is not None
-        else (np.full(s.dim, -np.inf), np.full(s.dim, np.inf)) for s in stars))
-    return np.array(lower), np.array(upper)
+    st = stars if isinstance(stars, StarSet) else _stack(stars)
+    caps = batch_norms(np.maximum(np.abs(st.lower), np.abs(st.upper)), norm)
+    has = ~np.isnan(st.P).any(axis=1)
+    at_points = st.C[has] + np.matmul(st.V[has], st.P[has][:, :, None])[:, :, 0]
+    L = batch_norms(at_points, norm).max(initial=0.0)
+    # The negation keeps a NaN cap chosen.
+    chosen = np.flatnonzero(~(caps < L - DECIDE_TOL * (1.0 + L)))
+    C, V = st.C[chosen], st.V[chosen]
+    live = np.flatnonzero((np.abs(V) > 0.0).any(axis=2))  # into C.ravel()
+    sign = np.tile([1.0, -1.0], live.size)
+    who = np.repeat(live, 2)
+    res = st._lp_max(sign[:, None] * V.reshape(-1, V.shape[2])[who],
+                    chosen[who // C.shape[1]])
+    ext = np.where(res.optimal, C.ravel()[who] + sign * res.value, sign * np.inf)
+    lower, upper = C.copy(), C.copy()
+    upper.flat[live], lower.flat[live] = ext[0::2], ext[1::2]
+    # On a sliver star the two LPs can cross by rounding (~1e-17); the
+    # ordered pair still contains both answers.
+    return sup_norm_box(BoxBatch(*_ordered(lower, upper)), norm)

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
-from nnbisim import BoxBatch, DegenerateLPError, lp_feasible, lp_max, phase_one
-from nnbisim.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, lp_max_batch,
+from nnbisim import BoxBatch, DegenerateLPError, lp_feasible, lp_max
+from nnbisim.lp import (_START_FIELDS, INFEASIBLE, OPTIMAL, UNBOUNDED, lp_max_batch,
                         phase_one_batch)
 
 
@@ -150,88 +150,19 @@ class TestAgainstScipy:
         assert np.array_equal(first.point, second.point)
 
 
-def outcome(objective, A, d, start=None):
+def outcome(objective, A, d):
     """An LP's result as comparable data, or the error it raised."""
     try:
-        res = lp_max(objective, A, d, start=start)
+        res = lp_max(objective, A, d)
     except DegenerateLPError as exc:
         return ("raised", str(exc))
+    return as_data(res)
+
+
+def as_data(res):
+    """An LPResult as comparable data."""
     point = None if res.point is None else res.point.tobytes()
     return (res.status, np.float64(res.value).tobytes(), point)
-
-
-@st.composite
-def lp_system(draw):
-    """Small systems A x <= d: quarter-step coefficients, right-hand sides
-    of either sign, duplicate and scaled (redundant) rows, and optionally a
-    pair of rows that contradict each other (infeasible)."""
-    n = draw(st.integers(1, 3))
-    coef = st.integers(-8, 8).map(lambda k: k / 4.0)
-    rows = draw(st.lists(st.lists(coef, min_size=n, max_size=n),
-                         min_size=1, max_size=6))
-    rhs = draw(st.lists(st.integers(-6, 6).map(lambda k: k / 4.0),
-                        min_size=len(rows), max_size=len(rows)))
-    for _ in range(draw(st.integers(0, 2))):
-        k = draw(st.integers(0, len(rows) - 1))
-        scale = draw(st.sampled_from([1.0, 2.0]))
-        slack = draw(st.sampled_from([0.0, 0.5]))
-        rows.append([scale * v for v in rows[k]])
-        rhs.append(scale * rhs[k] + slack)
-    if draw(st.booleans()):
-        k = draw(st.integers(0, len(rows) - 1))
-        rows.append([-v for v in rows[k]])
-        rhs.append(-rhs[k] - draw(st.sampled_from([0.0, 1.0])))
-    objectives = draw(st.lists(st.lists(coef, min_size=n, max_size=n),
-                               min_size=2, max_size=4))
-    return np.array(rows), np.array(rhs), np.array(objectives)
-
-
-class TestPhaseOneReuse:
-    @settings(max_examples=200, deadline=None)
-    @given(lp_system())
-    def test_shared_start_matches_fresh_solves(self, system):
-        A, d, objectives = system
-        fresh = [outcome(c, A, d) for c in objectives]
-        try:
-            start = phase_one(A, d)
-        except DegenerateLPError:
-            assert all(o[0] == "raised" for o in fresh)
-            return
-        if start.feasible:
-            tableau, basis = start.tableau.copy(), start.basis.copy()
-        for order in (objectives, objectives[::-1]):
-            shared = [outcome(c, A, d, start) for c in order]
-            want = fresh if order is objectives else fresh[::-1]
-            assert shared == want
-        assert not start.feasible or (np.array_equal(start.tableau, tableau)
-                                      and np.array_equal(start.basis, basis))
-        if all(o[0] == INFEASIBLE for o in fresh):
-            assert not start.feasible
-
-    def test_start_is_read_only(self):
-        start = phase_one([[1.0], [-1.0]], [2.0, -1.0])
-        with pytest.raises(ValueError):
-            start.tableau[0, 0] = 5.0
-        with pytest.raises(ValueError):
-            start.basis[0] = 0
-
-    def test_start_from_other_arrays_rejected(self):
-        A = np.array([[1.0], [-1.0]])
-        d = np.array([2.0, -1.0])
-        start = phase_one(A, d)
-        assert lp_max([1.0], A, d, start=start).value == pytest.approx(2.0)
-        # Equal content is not enough: the start is tied to the objects.
-        with pytest.raises(ValueError, match="different constraint system"):
-            lp_max([1.0], A.copy(), d, start=start)
-        with pytest.raises(ValueError, match="different constraint system"):
-            lp_max([1.0], A, d.copy(), start=start)
-
-    def test_infeasible_start(self):
-        A = np.array([[1.0], [-1.0]])
-        d = np.array([-1.0, -2.0])
-        start = phase_one(A, d)
-        assert not start.feasible
-        assert lp_max([1.0], A, d, start=start).status == INFEASIBLE
 
 
 # The unit box cut by one badly scaled row through the origin: the ratio
@@ -279,21 +210,29 @@ def lp_stack(draw):
 
 def stacked_outcomes(systems, lps):
     """Every LP of lps solved in one phase_one_batch and one lp_max_batch,
-    as outcome() data, or the error the batch raised."""
+    as outcome() data, or the error the batch raised. Unless it raised,
+    one more lp_max_batch over the same Starts solves the LPs in the
+    reverse order: it must give the same results and leave the Starts
+    unchanged."""
     n = systems[0][0].shape[1]
     M = max(len(d) for _, d in systems)
     A = np.zeros((len(systems), M, n))
     d = np.full((len(systems), M), 7.0)  # ignored past each system's rows
     for k, (Ak, dk) in enumerate(systems):
         A[k, :len(dk)], d[k, :len(dk)] = Ak, dk
+    starts = phase_one_batch(A, d, [len(dk) for _, dk in systems])
+    saved = [getattr(starts, f).copy() for f in _START_FIELDS]
+    c, which = np.array([c for _, c in lps]), np.array([k for k, _ in lps])
     try:
-        starts = phase_one_batch(A, d, [len(dk) for _, dk in systems])
-        res = lp_max_batch(np.array([c for _, c in lps]), starts, [k for k, _ in lps])
+        res = lp_max_batch(c, starts, which)
     except DegenerateLPError as exc:
         return ("raised", str(exc))
-    return [(r.status, np.float64(r.value).tobytes(),
-             None if r.point is None else r.point.tobytes())
-            for r in (res[j] for j in range(len(lps)))]
+    got = [as_data(res[j]) for j in range(len(lps))]
+    back = lp_max_batch(c[::-1], starts, which[::-1])
+    assert [as_data(back[j]) for j in range(len(lps))] == got[::-1]
+    for f, was in zip(_START_FIELDS, saved):
+        assert np.array_equal(getattr(starts, f), was), f
+    return got
 
 
 class TestBatchedSolver:
