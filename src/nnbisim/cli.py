@@ -12,6 +12,7 @@ diagnostics to stderr. Exit codes are a stable contract:
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -187,7 +188,10 @@ def _add_backend_flags(p, with_norm=False):
                    help="abort exact reachability beyond this many stars")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(
         prog="nnbisim",
         description="Certified output-discrepancy bounds between ReLU networks "

@@ -105,6 +105,58 @@ def _numbers(line, lineno, cast, expect=None, what="values"):
     return values
 
 
+def _nnet_body_fast(lines, sizes):
+    """Convert every weight and bias line in one pass.
+
+    Raises ValueError when a line's comma count differs from the header's
+    layout or a value does not convert; the caller then reruns the
+    per-line path, which names the offending line. float() is the same
+    conversion as the per-line path's, so the values are too.
+    """
+    body = [s.rstrip(", \t") for s in map(str.strip, lines) if s]
+    layout = []
+    for rows, cols in zip(sizes[1:], sizes[:-1]):
+        layout += [cols - 1] * rows + [0] * rows
+    if [s.count(",") for s in body] != layout:
+        raise ValueError("body does not match the header layout")
+    values = np.fromiter(map(float, ",".join(body).split(",")), dtype=float)
+    layers, pos = [], 0
+    for k, (rows, cols) in enumerate(zip(sizes[1:], sizes[:-1])):
+        W = values[pos:pos + rows * cols].reshape(rows, cols)
+        pos += rows * cols
+        make = Layer.linear if k == len(sizes) - 2 else Layer.relu
+        layers.append(make(W, values[pos:pos + rows]))
+        pos += rows
+    return layers
+
+
+def _nnet_body(reader, sizes):
+    """Per-line body parse; errors carry the offending line number."""
+    layers = []
+    num_layers = len(sizes) - 1
+    for k in range(num_layers):
+        rows, cols = sizes[k + 1], sizes[k]
+        W = np.zeros((rows, cols))
+        for i in range(rows):
+            lineno, line = reader.next(f"weight row {i} of layer {k}")
+            W[i] = _numbers(line, lineno, float, expect=cols,
+                            what=f"weights (layer {k}, row {i})")
+        b = np.zeros(rows)
+        for i in range(rows):
+            lineno, line = reader.next(f"bias {i} of layer {k}")
+            b[i] = _numbers(line, lineno, float, expect=1,
+                            what=f"bias (layer {k}, neuron {i})")[0]
+        make = Layer.linear if k == num_layers - 1 else Layer.relu
+        try:
+            layers.append(make(W, b))
+        except ValueError as exc:
+            raise ParseError(f"{exc} (layer {k})", location=f"line {lineno}") from None
+    if not reader.rest_is_blank():
+        raise ParseError("unexpected trailing content",
+                         location=f"line {reader.pos + 1}")
+    return layers
+
+
 def parse_nnet(text):
     """Parse NNet text into (Network, NNetMeta).
 
@@ -147,27 +199,10 @@ def parse_nnet(text):
         raise ParseError("ranges entries must be nonzero", location=f"line {ranges_line}")
     meta = NNetMeta(mins, maxes, means, ranges)
 
-    layers = []
-    for k in range(num_layers):
-        rows, cols = sizes[k + 1], sizes[k]
-        W = np.zeros((rows, cols))
-        for i in range(rows):
-            lineno, line = reader.next(f"weight row {i} of layer {k}")
-            W[i] = _numbers(line, lineno, float, expect=cols,
-                            what=f"weights (layer {k}, row {i})")
-        b = np.zeros(rows)
-        for i in range(rows):
-            lineno, line = reader.next(f"bias {i} of layer {k}")
-            b[i] = _numbers(line, lineno, float, expect=1,
-                            what=f"bias (layer {k}, neuron {i})")[0]
-        make = Layer.linear if k == num_layers - 1 else Layer.relu
-        try:
-            layers.append(make(W, b))
-        except ValueError as exc:
-            raise ParseError(f"{exc} (layer {k})", location=f"line {lineno}") from None
-    if not reader.rest_is_blank():
-        raise ParseError("unexpected trailing content",
-                         location=f"line {reader.pos + 1}")
+    try:
+        layers = _nnet_body_fast(reader.lines[reader.pos:], sizes)
+    except ValueError:
+        layers = _nnet_body(reader, sizes)
     return Network(input_size, layers), meta
 
 

@@ -12,6 +12,9 @@ from .errors import ShapeError
 RELU = "relu"
 IDENTITY = "identity"
 
+# Rows per forward_batch block: a 50-wide layer's block array is ~1.6 MB.
+_BLOCK_ROWS = 4096
+
 
 def _require_finite(a, what):
     if np.isfinite(a).all():
@@ -120,16 +123,30 @@ class Network:
         return x
 
     def forward_batch(self, X):
-        """Evaluate a batch of inputs, rows = samples. Returns (n, out_dim)."""
+        """Evaluate a batch of inputs, rows = samples. Returns (n, out_dim).
+
+        Rows run in blocks, each through every layer before the next, into
+        one preallocated output, so the per-layer arrays stay cache-sized
+        whatever n is. Blocks start at multiples of _BLOCK_ROWS, and a
+        remainder under half a block joins the last one. A row thus keeps
+        its offset modulo any BLAS unroll that divides _BLOCK_ROWS: with
+        one BLAS thread the result is the whole-batch pass bit for bit,
+        also where numpy hands a one-output layer to gemv.
+        """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ShapeError(
                 f"batch has shape {X.shape}, expected (n, {self.input_dim})")
-        for lay in self.layers:
-            X = X @ lay.weights.T
-            X += lay.bias
-            lay.activate_inplace(X)
-        return X
+        out = np.empty((X.shape[0], self.output_dim))
+        blocks = max(1, (X.shape[0] + _BLOCK_ROWS // 2) // _BLOCK_ROWS)
+        cuts = [k * _BLOCK_ROWS for k in range(1, blocks)]
+        for Y, Y_out in zip(np.split(X, cuts), np.split(out, cuts)):
+            for lay in self.layers:
+                Y = Y @ lay.weights.T
+                Y += lay.bias
+                lay.activate_inplace(Y)
+            Y_out[...] = Y
+        return out
 
     def parameter_count(self):
         return sum(lay.weights.size + lay.bias.size for lay in self.layers)

@@ -24,6 +24,14 @@ def two_layer_vee():
     ])
 
 
+def whole_batch(net, X):
+    """Reference chain for forward_batch: every layer on the whole batch."""
+    for lay in net.layers:
+        Z = X @ lay.weights.T + lay.bias
+        X = np.where(lay.relu_mask, np.maximum(Z, 0.0), Z)
+    return X
+
+
 def random_pair(seed, max_depth=3, max_width=3, max_dim=2, weight_range=1.0,
                 out_dim=None):
     """Seeded (big, small) pair small enough for the exact back-end."""

@@ -7,7 +7,8 @@ from nnbisim import (Box, LinearSpec, Layer, MergePreconditionError, Network,
                      NumericError, bisim_error_lower_mc, bisim_error_upper,
                      random_network, verify)
 from nnbisim.bisim import ErrorBound
-from conftest import constant_net, random_pair
+from nnbisim.network import _BLOCK_ROWS
+from conftest import constant_net, random_pair, whole_batch
 
 
 def dependency_loss_net():
@@ -120,6 +121,18 @@ class TestLowerBound:
         b = bisim_error_lower_mc(big, small, box, 4000, seed=9)
         c = bisim_error_lower_mc(big, small, box, 4000, seed=9, jobs=4)
         assert a == b == c
+
+    def test_jobs_agree_over_several_blocks(self):
+        # 5 blocks of samples: jobs=2 and 4 split them into chunks that are
+        # blocked again inside forward_batch.
+        big = random_network([3, 7, 6, 5, 2], 1.0, seed=21)
+        small = random_network([3, 4, 2], 1.0, seed=22)
+        box = Box(-np.ones(3), np.ones(3))
+        n = 5 * _BLOCK_ROWS
+        X = box.sample(np.random.default_rng(9), n)
+        ref = float(np.abs(whole_batch(big, X) - whole_batch(small, X)).max())
+        for jobs in (1, 2, 4):
+            assert bisim_error_lower_mc(big, small, box, n, seed=9, jobs=jobs) == ref
 
     def test_samples_validated(self):
         big, small, box = random_pair(18)

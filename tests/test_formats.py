@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nnbisim import (Box, NNetMeta, ParseError, ShapeError, eval_normalized,
+from nnbisim import formats
+from nnbisim import (Box, Layer, Network, NNetMeta, ParseError, ShapeError, eval_normalized,
                      merge, parse_json_net, parse_nnet, parse_problem,
                      random_network, validate, verify, write_json_net,
                      write_nnet)
@@ -73,6 +76,27 @@ class TestParseNNet:
         with pytest.raises(ParseError, match="nonzero"):
             parse_nnet(broken)
 
+    def test_short_weight_row_names_its_line(self):
+        lines = write_nnet(random_network([3, 4, 2], 1.0, seed=5),
+                           NNetMeta.identity(3)).splitlines()
+        lines[8] = lines[8].rsplit(",", 1)[0]  # layer 0, row 0 loses a weight
+        with pytest.raises(ParseError, match=r"^line 9: expected 3 weights "
+                                             r"\(layer 0, row 0\), found 2$"):
+            parse_nnet("\n".join(lines))
+
+    def test_tolerated_variants_take_the_one_pass_path(self, monkeypatch):
+        net = random_network([3, 4, 2], 1.0, seed=5)
+        lines = write_nnet(net, NNetMeta.identity(3)).splitlines()
+        variant = "\r\n".join(line + (" , ,\t" if i % 2 else ",") + "\r\n" * (i % 3 == 0)
+                               for i, line in enumerate(lines)) + "\r\n\r\n"
+
+        def per_line(reader, sizes):
+            raise AssertionError("the per-line body path ran")
+
+        monkeypatch.setattr(formats, "_nnet_body", per_line)
+        again, _ = parse_nnet(variant)
+        assert nets_equal(net, again)
+
     def test_acas_like_shape(self):
         net = random_network([5, 50, 50, 5], 1.0, seed=77)
         meta = NNetMeta(np.full(5, -1.0), np.full(5, 1.0),
@@ -92,6 +116,34 @@ class TestWriteNNet:
             net2, meta2 = parse_nnet(text)
             assert nets_equal(net, net2)
             assert write_nnet(net2, meta2) == text
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(),
+           sizes=st.lists(st.integers(1, 4), min_size=2, max_size=4))
+    def test_round_trip_bit_identical_with_tolerated_variants(self, data, sizes):
+        """Any finite weights survive write_nnet -> parse_nnet bit for bit,
+        also with trailing commas, CRLF line ends and blank lines."""
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        layers = []
+        for k, (rows, cols) in enumerate(zip(sizes[1:], sizes[:-1])):
+            W = data.draw(st.lists(finite, min_size=rows * cols, max_size=rows * cols))
+            b = data.draw(st.lists(finite, min_size=rows, max_size=rows))
+            make = Layer.linear if k == len(sizes) - 2 else Layer.relu
+            layers.append(make(np.reshape(W, (rows, cols)), b))
+        net = Network(sizes[0], layers)
+        lines = write_nnet(net, NNetMeta.identity(sizes[0])).splitlines()
+        style = st.tuples(st.sampled_from(["", ",", ", ", ",\t", " , ,"]),
+                          st.sampled_from(["\n", "\r\n"]),
+                          st.sampled_from(["", "\n", "  \r\n"]))
+        ends = data.draw(st.lists(style, min_size=len(lines), max_size=len(lines)))
+        text = "".join(line + tail + eol + blank
+                       for line, (tail, eol, blank) in zip(lines, ends))
+        again, _ = parse_nnet(text)
+        for lay, lay2 in zip(net.layers, again.layers, strict=True):
+            assert [v.hex() for v in lay2.weights.ravel()] == \
+                [v.hex() for v in lay.weights.ravel()]
+            assert [v.hex() for v in lay2.bias] == [v.hex() for v in lay.bias]
+            assert lay2.activations == lay.activations
 
     def test_mixed_activations_rejected(self):
         big = random_network([2, 3, 3, 1], 1.0, seed=1)

@@ -1,9 +1,18 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import nnbisim
 from nnbisim import (Box, Layer, Network, ShapeError, merge, random_network,
                      validate)
-from conftest import two_layer_vee
+from nnbisim.network import _BLOCK_ROWS
+from conftest import two_layer_vee, whole_batch
+
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(nnbisim.__file__))
 
 
 class TestForward:
@@ -163,16 +172,55 @@ class TestFiniteLayers:
 
 
 class TestForwardBatchActivations:
+    # Mixed, all-ReLU and all-identity layers, as in a merged network.
+    MERGED = merge(random_network([3, 7, 6, 5, 2], 1.0, seed=21),
+                   random_network([3, 4, 2], 1.0, seed=22))
+
     def test_bit_identical_to_masked_where(self):
-        # Mixed, all-ReLU and all-identity layers, as in a merged network.
-        net = merge(random_network([3, 7, 6, 5, 2], 1.0, seed=21),
-                    random_network([3, 4, 2], 1.0, seed=22))
-        X = np.random.default_rng(3).uniform(-1.0, 1.0, (2000, 3))
-        ref = X
-        for lay in net.layers:
-            Z = ref @ lay.weights.T + lay.bias
-            ref = np.where(lay.relu_mask, np.maximum(Z, 0.0), Z)
-        assert np.array_equal(net.forward_batch(X), ref)
+        # One block, and batches that cross block boundaries.
+        for rows in (2000, 2 * _BLOCK_ROWS + 17, 3 * _BLOCK_ROWS - 1):
+            X = np.random.default_rng(3).uniform(-1.0, 1.0, (rows, 3))
+            assert np.array_equal(self.MERGED.forward_batch(X),
+                                  whole_batch(self.MERGED, X)), rows
+
+    def test_single_output_blocks_bit_identical_on_one_blas_thread(self):
+        # numpy hands a one-output layer to gemv, whose tail rows round
+        # differently; blocks that start at multiples of _BLOCK_ROWS keep
+        # every row's place in that tail. A second BLAS thread splits the
+        # whole batch at an arbitrary row, hence the child process.
+        script = (
+            "import numpy as np\n"
+            "from conftest import whole_batch\n"
+            "from nnbisim import random_network\n"
+            "from nnbisim.network import _BLOCK_ROWS\n"
+            "net = random_network([2, 50, 50, 1], 1.0, seed=0)\n"
+            "for extra in (1, 2, 3, 17, 2049, 3001):\n"
+            "    X = np.random.default_rng(extra).uniform(-1, 1, (2 * _BLOCK_ROWS + extra, 2))\n"
+            "    assert np.array_equal(net.forward_batch(X), whole_batch(net, X)), extra\n")
+        one_thread = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                        "MKL_NUM_THREADS")}
+        path = [PACKAGE_ROOT, os.path.dirname(__file__), os.environ.get("PYTHONPATH")]
+        res = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, **one_thread,
+                 "PYTHONPATH": os.pathsep.join(p for p in path if p)})
+        assert res.returncode == 0, res.stderr
+
+    def test_empty_batch(self):
+        assert self.MERGED.forward_batch(np.zeros((0, 3))).shape == (0, 2)
+
+    def test_peak_memory_independent_of_batch(self):
+        # 100k rows of a [5, 50x6, 5] net: one whole-batch layer array is
+        # 38 MiB; blocked, the peak is the (n, 5) output plus two blocks.
+        net = random_network([5] + [50] * 6 + [5], 0.3, seed=1)
+        X = np.random.default_rng(0).uniform(-1.0, 1.0, (100_000, 5))
+        tracemalloc.start()
+        try:
+            net.forward_batch(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_input_not_modified(self):
         net = Network(2, [Layer.relu(np.eye(2), [0.0, 0.0])])
