@@ -20,6 +20,7 @@ import numpy as np
 from .errors import NumericError
 from .interval import reach_box_split
 from .merge import merge
+from .network import chunk_cuts
 from .norms import LINF, batch_norms, check_norm
 from .star import DEFAULT_STAR_CAP, box_to_star, reach_stars
 
@@ -101,8 +102,9 @@ def bisim_error_lower_mc(net_big, net_small, box, samples, seed, norm=LINF,
                          jobs=1):
     """Sampled lower bound on the bisimulation error.
 
-    The sample matrix is generated in one pass from the seed, so the
-    result does not depend on how evaluation is parallelized. Raises
+    The sample matrix is generated in one pass from the seed, and jobs
+    threads evaluate it in chunks of whole forward_batch blocks, so the
+    result does not depend on jobs (bit for bit on one BLAS thread). Raises
     NumericError when an output difference is not finite.
     """
     check_norm(norm)
@@ -117,9 +119,9 @@ def bisim_error_lower_mc(net_big, net_small, box, samples, seed, norm=LINF,
             D = net_big.forward_batch(chunk) - net_small.forward_batch(chunk)
             return batch_norms(D, norm).max()
 
-    if jobs > 1 and samples > 4 * jobs:
-        chunks = np.array_split(X, jobs)
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    chunks = np.split(X, chunk_cuts(samples, jobs))
+    if len(chunks) > 1:
+        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
             lower = np.max(list(pool.map(worst, chunks)))
     else:
         lower = worst(X)

@@ -249,6 +249,13 @@ def _require(obj, key, path):
     return obj[key]
 
 
+def _positive_int(value, path):
+    """value, when it is a JSON integer >= 1 (true and false are not)."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ParseError("must be a positive integer", location=path)
+    return value
+
+
 def _float_array(value, path, ndim=1):
     try:
         arr = np.array(value, dtype=float)
@@ -268,9 +275,7 @@ def parse_json_net(text):
     if not isinstance(obj, dict):
         raise ParseError("top level must be an object")
     _reject_unknown(obj, {"input_dim", "layers"}, "network")
-    input_dim = _require(obj, "input_dim", "network")
-    if not isinstance(input_dim, int) or input_dim < 1:
-        raise ParseError("must be a positive integer", location="input_dim")
+    input_dim = _positive_int(_require(obj, "input_dim", "network"), "input_dim")
     raw_layers = _require(obj, "layers", "network")
     if not isinstance(raw_layers, list) or not raw_layers:
         raise ParseError("must be a non-empty list", location="layers")
@@ -387,7 +392,5 @@ def parse_problem(text):
                                  location=key)
             options[key] = obj[key]
     if "splits" in obj:
-        if not isinstance(obj["splits"], int) or obj["splits"] < 1:
-            raise ParseError("must be a positive integer", location="splits")
-        options["splits"] = obj["splits"]
+        options["splits"] = _positive_int(obj["splits"], "splits")
     return box, spec, options

@@ -81,14 +81,16 @@ class LPBatch:
 
 @dataclass
 class Starts:
-    """Phase-1 starts of a stack of constraint systems, padded to M rows.
+    """A stack of constraint systems, padded to M rows, and their phase-1
+    starts.
 
     System k is A[k, :rows[k]] x <= d[k, :rows[k]] (A is (S, M, n), d is
     (S, M)); rows past rows[k] read 0.x <= 1. tableau (S, M, 2n + M + 1)
     and basis (S, M) are a feasible basis of each standard form where
     feasible[k] holds; a redundant row that phase 1 dropped is a zero row
     whose basic slot is its own slack. error[k] names the numeric
-    breakdown of phase 1, or is None.
+    breakdown of phase 1, or is None. A member without a start (as empty
+    and take may leave it) reads as infeasible until put stores one.
     """
 
     A: np.ndarray
@@ -101,7 +103,7 @@ class Starts:
 
     @classmethod
     def empty(cls, size, M, n):
-        """size empty members (read as infeasible until put fills them)."""
+        """size empty members: no rows and no start."""
         return cls(np.zeros((size, M, n)), np.ones((size, M)), np.zeros(size, dtype=np.intp),
                    np.zeros((size, M, 2 * n + M + 1)),
                    np.repeat((2 * n + np.arange(M))[None], size, axis=0),
@@ -110,29 +112,32 @@ class Starts:
     def __len__(self):
         return len(self.rows)
 
-    def take(self, idx):
-        """The systems idx and their starts as a new stack."""
-        return Starts(*(getattr(self, f)[idx] for f in _START_FIELDS))
+    def take(self, idx, M, solved):
+        """The systems idx as a new stack padded to M >= this stack's rows,
+        with the starts of the members where solved holds; the others are
+        empty starts, whose tableaus are never written. A padding row reads
+        0.x <= 1 with its slack basic, so a padded start is the start of
+        the padded system."""
+        _, M0, n = self.A.shape
+        out = Starts.empty(len(idx), M, n)
+        out.A[:, :M0], out.d[:, :M0], out.rows[:] = self.A[idx], self.d[idx], self.rows[idx]
+        keep = np.flatnonzero(solved)
+        src = idx[keep]
+        for k in range(0, keep.size, _CHUNK):  # bounds the gathered copy
+            kk, sk = keep[k:k + _CHUNK], src[k:k + _CHUNK]
+            out.tableau[kk, :M0, :2 * n + M0] = self.tableau[sk, :, :-1]
+            out.tableau[kk, :M0, -1] = self.tableau[sk, :, -1]
+        new = np.arange(M0, M)
+        out.tableau[keep[:, None], new, 2 * n + new] = 1.0
+        out.tableau[keep, M0:, -1] = 1.0
+        out.basis[keep, :M0] = self.basis[src]
+        out.feasible[keep], out.error[keep] = self.feasible[src], self.error[src]
+        return out
 
     def put(self, idx, other):
         """Store the stack other (with the same M) at idx."""
         for f in _START_FIELDS:
             getattr(self, f)[idx] = getattr(other, f)
-
-    def resized(self, size, M):
-        """The stack padded to M rows (rows 0.x <= 1, slack basic), with
-        room for size members: the ones past the current stack are empty."""
-        S, M0, n = self.A.shape
-        out = Starts.empty(size, M, n)
-        out.A[:S, :M0], out.d[:S, :M0], out.rows[:S] = self.A, self.d, self.rows
-        out.tableau[:S, :M0, :2 * n + M0] = self.tableau[:, :, :-1]
-        out.tableau[:S, :M0, -1] = self.tableau[:, :, -1]
-        new = np.arange(M0, M)
-        out.tableau[:S, new, 2 * n + new] = 1.0
-        out.tableau[:S, M0:, -1] = 1.0
-        out.basis[:S, :M0] = self.basis
-        out.feasible[:S], out.error[:S] = self.feasible, self.error
-        return out
 
 
 _START_FIELDS = ("A", "d", "rows", "tableau", "basis", "feasible", "error")

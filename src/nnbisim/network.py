@@ -16,6 +16,20 @@ IDENTITY = "identity"
 _BLOCK_ROWS = 4096
 
 
+def _block_cuts(n):
+    """forward_batch's block starts in an n-row batch, past the first."""
+    return list(range(_BLOCK_ROWS, n - _BLOCK_ROWS // 2 + 1, _BLOCK_ROWS))
+
+
+def chunk_cuts(n, parts):
+    """Cuts of an n-row batch into at most parts runs of forward_batch's
+    own blocks, at the block starts nearest k * n / parts: separate calls
+    on the runs give the rows of one call bit for bit."""
+    starts = _block_cuts(n)
+    near = {min(round(k * n / parts / _BLOCK_ROWS), len(starts)) for k in range(1, parts)}
+    return [starts[c - 1] for c in sorted(near - {0})]
+
+
 def _require_finite(a, what):
     if np.isfinite(a).all():
         return
@@ -138,8 +152,7 @@ class Network:
             raise ShapeError(
                 f"batch has shape {X.shape}, expected (n, {self.input_dim})")
         out = np.empty((X.shape[0], self.output_dim))
-        blocks = max(1, (X.shape[0] + _BLOCK_ROWS // 2) // _BLOCK_ROWS)
-        cuts = [k * _BLOCK_ROWS for k in range(1, blocks)]
+        cuts = _block_cuts(X.shape[0])
         for Y, Y_out in zip(np.split(X, cuts), np.split(out, cuts)):
             for lay in self.layers:
                 Y = Y @ lay.weights.T

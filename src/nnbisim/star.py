@@ -18,14 +18,17 @@ suprema are those of running both range LPs at every neuron.
 
 reach_stars works one (layer, ReLU neuron) step at a time on all stars
 at once, held as a StarSet of stacked arrays: centres (N, dim), bases
-(N, dim, p), carried points (N, p), and the constraint systems padded to
-the step's largest row count together with their phase-1 starts
-(lp.Starts). A step computes the closed-form bounds and the point test
-for every star, then solves all range LPs that are left in one
-lp_max_batch, after one phase_one_batch for the systems that have no
-start yet. Stacked products go through np.matmul, whose per-star BLAS
-call is bit for bit the product of one star, so the stars and suprema
-are those of handling each star on its own.
+(N, dim, p), carried points (N, p), and an lp.Starts whose member k is
+star k's constraint system, padded to the step's largest row count, and
+once solved its phase-1 start. A step computes the closed-form bounds and
+the point test for every star, then solves all range LPs that are left in
+one lp_max_batch, after one phase_one_batch for the systems that have no
+start yet. A split gathers the next step's systems in one Starts.take,
+which copies a start only for the stars that keep their system; the two
+children of a split star get theirs from the next phase 1. Stacked
+products go through np.matmul, whose per-star BLAS call is bit for bit
+the product of one star, so the stars and suprema are those of handling
+each star on its own.
 
 reach_stars returns the last step's StarSet, which bisim.reach hands out
 for the exact method. It has the members of interval.BoxBatch:
@@ -86,14 +89,13 @@ class StarSet(Sequence):
     """N stars as stacked arrays, with the members of interval.BoxBatch.
 
     C (N, dim) centres, V (N, dim, p) bases, P (N, p) carried points (a
-    row of nan where a star has none), and the constraint systems A (N, M,
-    p), d (N, M) with rows (N,) rows each (rows past that read 0.a <= 1).
-    pred_box is a (lower, upper) pair of (N, p) arrays bounding each
-    star's predicate polytope (rows of -inf and inf where unknown), or of
-    (1, p) arrays when the stars share one, as the stars of reach_stars
-    share the input star's. pool holds the phase-1 starts of the systems
-    that have one, and sid (N,) the slot of each star's start in pool, or
-    -1.
+    row of nan where a star has none), and starts, an lp.Starts of N
+    members whose member k is star k's constraint system (A (N, M, p), d
+    (N, M), rows (N,); rows past rows[k] read 0.a <= 1) and, where has[k]
+    holds, that system's phase-1 start. pred_box is a (lower, upper) pair
+    of (N, p) arrays bounding each star's predicate polytope (rows of -inf
+    and inf where unknown), or of (1, p) arrays when the stars share one,
+    as the stars of reach_stars share the input star's.
 
     Indexing builds the i-th Star. lower and upper are the closed-form
     (N, dim) outer bounds, computed on first use; infinite predicate
@@ -105,18 +107,18 @@ class StarSet(Sequence):
     label = None  # the back-end that computed the set, set by bisim.reach
     centers = None  # set by reach_stars
 
-    def __init__(self, C, V, P, A, d, rows, pred_box, sid, pool):
+    def __init__(self, C, V, P, starts, has, pred_box):
         self.C, self.V, self.P = C, V, P
-        self.A, self.d, self.rows = A, d, rows
+        self.starts, self.has = starts, has
         self.pred_box = pred_box
-        self.sid, self.pool = sid, pool
 
     def __len__(self):
         return len(self.C)
 
     def __getitem__(self, i):
-        m = self.rows[i]
-        star = Star(self.C[i], self.V[i], self.A[i, :m], self.d[i, :m])
+        s = self.starts
+        m = s.rows[i]
+        star = Star(self.C[i], self.V[i], s.A[i, :m], s.d[i, :m])
         if not np.isnan(self.P[i]).any():
             star.point = self.P[i]
         star.pred_box = tuple(np.broadcast_to(b, self.P.shape)[i] for b in self.pred_box)
@@ -140,38 +142,39 @@ class StarSet(Sequence):
 
     def intersects(self, i, A, d):
         """True when star i meets {y : A y <= d}, by one LP."""
-        m = self.rows[i]
-        return lp_feasible(np.vstack([self.A[i, :m], A @ self.V[i]]),
-                           np.concatenate([self.d[i, :m], d - A @ self.C[i]]))
+        s = self.starts
+        m = s.rows[i]
+        return lp_feasible(np.vstack([s.A[i, :m], A @ self.V[i]]),
+                           np.concatenate([s.d[i, :m], d - A @ self.C[i]]))
 
     def _lp_max(self, objectives, systems):
         """lp_max_batch of each objectives[j] over the system of star
         systems[j], after one phase_one_batch for the systems without a
         start, whose starts are then kept."""
-        missing = np.unique(systems[self.sid[systems] < 0])
+        s = self.starts
+        missing = np.unique(systems[~self.has[systems]])
         if missing.size:
-            self.sid[missing] = self.pool.add(phase_one_batch(self.A[missing], self.d[missing],
-                                                              self.rows[missing]))
-        return lp_max_batch(objectives, self.pool.starts, self.sid[systems])
+            s.put(missing, phase_one_batch(s.A[missing], s.d[missing], s.rows[missing]))
+            self.has[missing] = True
+        return lp_max_batch(objectives, s, systems)
 
 
 def _stack(stars):
     """A list of Stars as a StarSet with no phase-1 starts yet; the
     constraint systems are padded to the largest row count."""
     N, p = len(stars), stars[0].basis.shape[1]
-    rows = np.array([len(s.constr_rhs) for s in stars])
-    A, d = np.zeros((N, rows.max(), p)), np.ones((N, rows.max()))
+    starts = Starts.empty(N, max(len(s.constr_rhs) for s in stars), p)
     P = np.full((N, p), np.nan)
     lo, hi = np.full((N, p), -np.inf), np.full((N, p), np.inf)
     for k, s in enumerate(stars):
-        A[k, :rows[k]], d[k, :rows[k]] = s.constr_mat, s.constr_rhs
+        m = starts.rows[k] = len(s.constr_rhs)
+        starts.A[k, :m], starts.d[k, :m] = s.constr_mat, s.constr_rhs
         if s.point is not None:
             P[k] = s.point
         if s.pred_box is not None:
             lo[k], hi[k] = s.pred_box
     return StarSet(np.array([s.center for s in stars]), np.array([s.basis for s in stars]),
-                   P, A, d, rows, (lo, hi), np.full(N, -1, dtype=np.intp),
-                   _Pool(Starts.empty(0, rows.max(), p)))
+                   P, starts, np.zeros(N, dtype=bool), (lo, hi))
 
 
 def _image_bounds(C, V, lo, hi):
@@ -244,32 +247,6 @@ def _dots(X, Y):
     return np.matmul(X[:, None, :], Y)[:, 0, 0]
 
 
-class _Pool:
-    """Phase-1 starts (an lp.Starts) in slots. A split frees its star's
-    slot for the next start, so the starts kept never outnumber the
-    stars, and adding starts copies the pool only when it grows."""
-
-    def __init__(self, starts):
-        self.starts = starts
-        self.free = []
-
-    def add(self, new):
-        """Store the Starts new; returns their slots."""
-        size, M0 = len(self.starts), self.starts.A.shape[1]
-        M = max(M0, new.A.shape[1])
-        short = len(new) - len(self.free)
-        if short > 0 or M > M0:
-            room = max(short, size // 2) if short > 0 else 0
-            self.starts = self.starts.resized(size + room, M)
-            self.free.extend(range(size, size + room))
-        if new.A.shape[1] < M:
-            new = new.resized(len(new), M)
-        slots = np.array(self.free[len(self.free) - len(new):], dtype=np.intp)
-        del self.free[len(self.free) - len(new):]
-        self.starts.put(slots, new)
-        return slots
-
-
 def _range_lps(st, open_, rows, off, tol):
     """Range of neuron rows over the open stars, as far as a decision
     needs it: (lower, upper, point at the upper end, point at the lower
@@ -334,26 +311,22 @@ def _relu_step(st, i, pred_lo, pred_hi):
     src = np.repeat(np.arange(len(st)), counts)
     first = np.cumsum(counts) - counts
     pos, neg = first[split], first[split] + 1
-    A, d, at = st.A, st.d, st.rows[split]
-    if at.max() >= A.shape[1]:
-        A = np.concatenate([A, np.zeros((len(A), 1, A.shape[2]))], axis=1)
-        d = np.concatenate([d, np.ones((len(d), 1))], axis=1)
-    A, d, rows = A[src], d[src], st.rows[src]
-    A[pos, at], d[pos, at] = -rows_i[split], off[split]
-    A[neg, at], d[neg, at] = rows_i[split], -off[split]
-    rows[pos] += 1
-    rows[neg] += 1
-    freed = st.sid[split]
-    st.pool.free.extend(freed[freed >= 0].tolist())
-    sid = st.sid[src]
-    sid[pos] = sid[neg] = -1
+    # Each child gets one cut row, at its parent's row count, and no start.
+    at = st.starts.rows[split]
+    has = st.has[src]
+    has[pos] = has[neg] = False
+    starts = st.starts.take(src, max(st.starts.A.shape[1], at.max() + 1), has)
+    starts.A[pos, at], starts.d[pos, at] = -rows_i[split], off[split]
+    starts.A[neg, at], starts.d[neg, at] = rows_i[split], -off[split]
+    starts.rows[pos] += 1
+    starts.rows[neg] += 1
     C, V, P = st.C[src], st.V[src], st.P[src]
     at_open = np.searchsorted(open_, split)
     P[pos], P[neg] = hi_pt[at_open], lo_pt[at_open]
     z = np.concatenate([first[code == 1], neg])
     C[z, i] = 0.0
     V[z, i, :] = 0.0
-    return StarSet(C, V, P, A, d, rows, st.pred_box, sid, st.pool)
+    return StarSet(C, V, P, starts, has, st.pred_box)
 
 
 def reach_stars(net, star, star_cap=DEFAULT_STAR_CAP):
@@ -381,10 +354,6 @@ def reach_stars(net, star, star_cap=DEFAULT_STAR_CAP):
             if len(st) > star_cap:
                 raise ResourceLimitError(
                     f"star count {len(st)} exceeds cap {star_cap}")
-    # Keep only the starts of the returned stars: no freed slots, no room.
-    has = np.flatnonzero(st.sid >= 0)
-    st.pool = _Pool(st.pool.starts.take(st.sid[has]))
-    st.sid[has] = np.arange(has.size)
     st.centers = star.center[None, :]
     return st
 

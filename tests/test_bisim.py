@@ -134,6 +134,32 @@ class TestLowerBound:
         for jobs in (1, 2, 4):
             assert bisim_error_lower_mc(big, small, box, n, seed=9, jobs=jobs) == ref
 
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_thread_chunks_are_whole_blocks(self, monkeypatch, jobs):
+        # Chunks made of forward_batch's own blocks keep each row's offset,
+        # so a single-output net's gemv rounds the same rows as tail rows.
+        lengths = []
+        real = Network.forward_batch
+
+        def spy(net, X):
+            lengths.append(len(X))
+            return real(net, X)
+
+        monkeypatch.setattr(Network, "forward_batch", spy)
+        big, small, box = random_pair(18)
+        bisim_error_lower_mc(big, small, box, 100_000, seed=0, jobs=jobs)
+        assert sum(lengths) == 2 * 100_000 and len(lengths) == 2 * jobs
+        assert sum(n % _BLOCK_ROWS != 0 for n in lengths) == 2  # one chunk per net
+
+    def test_small_batch_is_one_chunk(self, monkeypatch):
+        lengths = []
+        real = Network.forward_batch
+        monkeypatch.setattr(Network, "forward_batch",
+                            lambda net, X: lengths.append(len(X)) or real(net, X))
+        big, small, box = random_pair(18)
+        bisim_error_lower_mc(big, small, box, 6000, seed=0, jobs=4)
+        assert lengths == [6000, 6000]
+
     def test_samples_validated(self):
         big, small, box = random_pair(18)
         with pytest.raises(ValueError):

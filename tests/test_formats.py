@@ -206,6 +206,14 @@ class TestJsonNet:
         with pytest.raises(ParseError, match="unknown field"):
             parse_json_net('{"input_dim": 1, "layers": [], "note": "hi"}')
 
+    @pytest.mark.parametrize("value", ["true", "false", "1.0", "0", '"1"'])
+    def test_input_dim_must_be_a_positive_integer(self, value):
+        text = f"""{{"input_dim": {value}, "layers": [
+            {{"weights": [[1.0]], "bias": [0.0], "activations": ["identity"]}}
+        ]}}"""
+        with pytest.raises(ParseError, match="input_dim.*must be a positive integer"):
+            parse_json_net(text)
+
     def test_chaining_violation_reported(self):
         text = """{"input_dim": 2, "layers": [
             {"weights": [[1.0]], "bias": [0.0], "activations": ["identity"]}
@@ -274,3 +282,9 @@ class TestParseProblem:
             text = self.GOOD.replace("}]]", "}]], " + patch)
             with pytest.raises(ParseError):
                 parse_problem(text)
+
+    @pytest.mark.parametrize("value", ["true", "false", "2.0"])
+    def test_splits_must_be_a_positive_integer(self, value):
+        text = self.GOOD.replace("}]]", '}]], "splits": ' + value)
+        with pytest.raises(ParseError, match="splits.*must be a positive integer"):
+            parse_problem(text)

@@ -11,7 +11,7 @@ from nnbisim import (IDENTITY, RELU, Box, Layer, LinearSpec,
                      Network, ResourceLimitError, Star, Verdict, bisim_error_upper,
                      box_to_star, lp_feasible, lp_max, merge, random_network,
                      reach_stars, star_sup_norm, sup_norm_box, verify)
-from nnbisim.lp import LPBatch
+from nnbisim.lp import LPBatch, lp_max_batch
 from nnbisim.safety import SAFE, SEARCH_SAMPLES, UNCERTAIN, UNSAFE
 from conftest import constant_net, reach_box, star_contains, union_contains
 
@@ -216,6 +216,47 @@ class TestSupNorm:
                       [small, finite, nan_star]):
             assert math.isnan(star_sup_norm(stars, "inf"))
             assert math.isnan(star_sup_norm(stars, "l2"))
+
+
+class TestStartsAlignedWithStars:
+    """Member k of a StarSet's starts is star k's constraint system and,
+    where has[k] holds, that system's phase-1 start."""
+
+    def check_starts(self, stars, seed):
+        assert len(stars.starts) == len(stars)
+        solved = np.flatnonzero(stars.has)
+        assert solved.size
+        rng = np.random.default_rng(seed)
+        c = rng.uniform(-1.0, 1.0, (solved.size, stars.P.shape[1]))
+        got = lp_max_batch(c, stars.starts, solved)
+        for j, k in enumerate(solved):
+            star = stars[k]
+            want = lp_max(c[j], star.constr_mat, star.constr_rhs)
+            assert got.optimal[j] == want.optimal
+            assert float(got.value[j]).hex() == float(want.value).hex()
+            if want.optimal:
+                assert np.array_equal(got.point[j], want.point)
+
+    def test_reach_stars_with_growing_row_count(self):
+        box = Box([-1.0, -1.0], [1.0, 1.0])
+        net = random_network([2, 6, 6, 2], 1.0, seed=1)
+        stars = reach_stars(net, box_to_star(box))
+        # Splits added cut rows to the 4 rows of the input star, so the
+        # starts solved before a split were padded when the stack grew.
+        assert stars.starts.A.shape[1] > 4 and not stars.has.all()
+        self.check_starts(stars, seed=0)
+        star_sup_norm(stars, "inf")  # solves the stars left without a start
+        self.check_starts(stars, seed=1)
+
+    def test_stacked_stars(self):
+        net = random_network([2, 6, 6, 2], 1.0, seed=1)
+        stars = list(reach_stars(net, box_to_star(Box([-1.0, -1.0], [1.0, 1.0]))))
+        stack = nnbisim.star._stack(stars)
+        assert not stack.has.any()
+        half = np.arange(0, len(stack), 2)
+        stack._lp_max(np.ones((half.size, 2)), half)
+        assert np.array_equal(np.flatnonzero(stack.has), half)
+        self.check_starts(stack, seed=2)
 
 
 @pytest.mark.xfail(strict=True, reason=(
