@@ -20,7 +20,7 @@ import numpy as np
 from .errors import NumericError
 from .interval import reach_box_split
 from .merge import merge
-from .network import chunk_cuts
+from .network import _block_cuts, _workspace, chunk_cuts
 from .norms import LINF, batch_norms, check_norm
 from .star import DEFAULT_STAR_CAP, box_to_star, reach_stars
 
@@ -102,30 +102,52 @@ def bisim_error_lower_mc(net_big, net_small, box, samples, seed, norm=LINF,
                          jobs=1):
     """Sampled lower bound on the bisimulation error.
 
-    The sample matrix is generated in one pass from the seed, and jobs
-    threads evaluate it in chunks of whole forward_batch blocks, so the
-    result does not depend on jobs (bit for bit on one BLAS thread). Raises
-    NumericError when an output difference is not finite.
+    The samples are the rows of box.sample(np.random.default_rng(seed),
+    samples), taken in forward_batch's own blocks. Each of jobs threads
+    takes one run of whole blocks (network.chunk_cuts) and draws its rows
+    from its own generator, seeded alike and advanced past the earlier
+    rows: PCG64 draws one value per coordinate, so these are the rows of
+    the one-pass matrix. A thread runs each block through both nets into
+    buffers allocated once and keeps only the worst norm so far, so memory
+    grows with jobs and the widest layer, not with samples, and the
+    result does not depend on jobs (bit for bit on one BLAS thread).
+    Raises NumericError when an output difference is not finite.
     """
     check_norm(norm)
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     box.require_finite()
-    rng = np.random.default_rng(seed)
-    X = box.sample(rng, samples)
+    bounds = [0, *_block_cuts(samples), samples]
+    ends = [0, *chunk_cuts(samples, jobs), samples]
+    spans = [[c for c in bounds if a <= c <= b] for a, b in zip(ends[:-1], ends[1:])]
+    # Allocated here: what a worker thread allocates stays in its own
+    # malloc arena after it ends.
+    rows = max(np.diff(bounds))
+    buffers = [(_workspace(rows, net_big, net_small), np.empty((rows, net_big.output_dim)),
+                np.empty((rows, net_small.output_dim))) for _ in spans]
 
-    def worst(chunk):
+    def worst(span, buffers):
+        work, Y_big, Y_small = buffers
+        rng = np.random.default_rng(seed)
+        rng.bit_generator.advance(span[0] * len(box))
+        lower = -np.inf
         with np.errstate(over="ignore", invalid="ignore"):
-            D = net_big.forward_batch(chunk) - net_small.forward_batch(chunk)
-            return batch_norms(D, norm).max()
+            for a, b in zip(span[:-1], span[1:]):
+                X, D, Y = box.sample(rng, b - a), Y_big[:b - a], Y_small[:b - a]
+                net_big._forward_block(X, D, work)
+                net_small._forward_block(X, Y, work)
+                D -= Y
+                top = np.abs(D, out=D).max() if norm == LINF else batch_norms(D, norm).max()
+                lower = np.maximum(lower, top)  # keeps a nan
+        return lower
 
-    chunks = np.split(X, chunk_cuts(samples, jobs))
-    if len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            lower = np.max(list(pool.map(worst, chunks)))
+    if len(spans) > 1:
+        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
+            lower = np.max(list(pool.map(worst, spans, buffers)))
     else:
-        lower = worst(X)
+        lower = worst(spans[0], buffers[0])
     if not np.isfinite(lower):
         raise NumericError(f"sampled output difference is not finite: {lower}")
     return float(lower)
-

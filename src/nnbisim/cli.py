@@ -98,6 +98,8 @@ def cmd_merge(args):
 
 
 def cmd_bisim(args):
+    if args.jobs < 1:
+        raise ValueError("jobs must be >= 1")
     net_big = _load_network(args.net_large)
     net_small = _load_network(args.net_small)
     box, _spec, options = _load_problem(args.problem)

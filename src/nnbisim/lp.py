@@ -46,6 +46,7 @@ ZERO_TOL = 1e-13   # entries below this count as zero
 _BIG = np.iinfo(np.intp).max
 # Members per lockstep stack: larger batches run as several stacks, which
 # bounds the solver's temporary arrays without changing any result.
+# phase_one_batch runs the stack it is given; its callers cut it.
 _CHUNK = 256
 # What _simplex says of a member when it lets it go.
 _DONE, _OPEN, _FAILED = 0, 1, 2
@@ -270,12 +271,6 @@ def phase_one_batch(A, d, rows):
     d = np.asarray(d, dtype=float)
     rows = np.asarray(rows, dtype=np.intp)
     S, M, n = A.shape
-    if S > _CHUNK:
-        out = Starts.empty(S, M, n)
-        for k in range(0, S, _CHUNK):
-            out.put(slice(k, k + _CHUNK),
-                    phase_one_batch(A[k:k + _CHUNK], d[k:k + _CHUNK], rows[k:k + _CHUNK]))
-        return out
     pad = np.arange(M) >= rows[:, None]
     if pad.any():
         A = np.where(pad[:, :, None], 0.0, A)

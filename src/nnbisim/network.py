@@ -30,6 +30,14 @@ def chunk_cuts(n, parts):
     return [starts[c - 1] for c in sorted(near - {0})]
 
 
+def _workspace(rows, *nets):
+    """Two flat buffers for Network._forward_block on blocks of up to rows
+    rows of any of nets: each holds rows rows of their widest hidden
+    layer."""
+    width = max((lay.rows for net in nets for lay in net.layers[:-1]), default=0)
+    return np.empty(rows * width), np.empty(rows * width)
+
+
 def _require_finite(a, what):
     if np.isfinite(a).all():
         return
@@ -139,27 +147,42 @@ class Network:
     def forward_batch(self, X):
         """Evaluate a batch of inputs, rows = samples. Returns (n, out_dim).
 
-        Rows run in blocks, each through every layer before the next, into
-        one preallocated output, so the per-layer arrays stay cache-sized
-        whatever n is. Blocks start at multiples of _BLOCK_ROWS, and a
-        remainder under half a block joins the last one. A row thus keeps
-        its offset modulo any BLAS unroll that divides _BLOCK_ROWS: with
-        one BLAS thread the result is the whole-batch pass bit for bit,
-        also where numpy hands a one-output layer to gemv.
+        Rows run in blocks, each through every layer before the next (see
+        _forward_block), straight into one preallocated output; one
+        workspace sized to the largest block serves every block, so the
+        call's memory past X and the output stays cache-sized whatever n
+        is. Blocks start at multiples of _BLOCK_ROWS, and a remainder
+        under half a block joins the last one. A row thus keeps its
+        offset modulo any BLAS unroll that divides _BLOCK_ROWS: with one
+        BLAS thread the result is the whole-batch pass bit for bit, also
+        where numpy hands a one-output layer to gemv.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ShapeError(
                 f"batch has shape {X.shape}, expected (n, {self.input_dim})")
         out = np.empty((X.shape[0], self.output_dim))
-        cuts = _block_cuts(X.shape[0])
-        for Y, Y_out in zip(np.split(X, cuts), np.split(out, cuts)):
-            for lay in self.layers:
-                Y = Y @ lay.weights.T
-                Y += lay.bias
-                lay.activate_inplace(Y)
-            Y_out[...] = Y
+        bounds = [0, *_block_cuts(X.shape[0]), X.shape[0]]
+        work = _workspace(max(np.diff(bounds)), self)
+        for a, b in zip(bounds[:-1], bounds[1:]):
+            self._forward_block(X[a:b], out[a:b], work)
         return out
+
+    def _forward_block(self, X, out, work):
+        """Run the rows X through every layer into out. The hidden layers
+        write into the two buffers of work (from _workspace) in turn, the
+        last layer into out; each product is one np.matmul(..., out=),
+        the BLAS call of X @ W.T."""
+        n, Y = len(X), X
+        for k, lay in enumerate(self.layers):
+            if k == len(self.layers) - 1:
+                Z = out
+            else:
+                Z = work[k % 2][:n * lay.rows].reshape(n, lay.rows)
+            np.matmul(Y, lay.weights.T, out=Z)
+            Z += lay.bias
+            lay.activate_inplace(Z)
+            Y = Z
 
     def parameter_count(self):
         return sum(lay.weights.size + lay.bias.size for lay in self.layers)

@@ -22,13 +22,13 @@ at once, held as a StarSet of stacked arrays: centres (N, dim), bases
 star k's constraint system, padded to the step's largest row count, and
 once solved its phase-1 start. A step computes the closed-form bounds and
 the point test for every star, then solves all range LPs that are left in
-one lp_max_batch, after one phase_one_batch for the systems that have no
-start yet. A split gathers the next step's systems in one Starts.take,
-which copies a start only for the stars that keep their system; the two
-children of a split star get theirs from the next phase 1. Stacked
-products go through np.matmul, whose per-star BLAS call is bit for bit
-the product of one star, so the stars and suprema are those of handling
-each star on its own.
+one lp_max_batch, after phase 1 (per 256 systems) for the systems that
+have no start yet. A split gathers the next step's systems in one
+Starts.take, which copies a start only for the stars that keep their
+system; the two children of a split star get theirs from the next
+phase 1. Stacked products go through np.matmul, whose per-star BLAS call
+is bit for bit the product of one star, so the stars and suprema are
+those of handling each star on its own.
 
 reach_stars returns the last step's StarSet, which bisim.reach hands out
 for the exact method. It has the members of interval.BoxBatch:
@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import NumericError, ResourceLimitError, ShapeError
 from .interval import BoxBatch
-from .lp import Starts, lp_feasible, lp_max_batch, phase_one_batch
+from .lp import _CHUNK, Starts, lp_feasible, lp_max_batch, phase_one_batch
 from .norms import LINF, batch_norms, sup_norm_box
 
 DEFAULT_STAR_CAP = 10**5
@@ -149,13 +149,15 @@ class StarSet(Sequence):
 
     def _lp_max(self, objectives, systems):
         """lp_max_batch of each objectives[j] over the system of star
-        systems[j], after one phase_one_batch for the systems without a
-        start, whose starts are then kept."""
+        systems[j], after phase 1 for the systems without a start, whose
+        starts are then kept. Phase 1 runs and is stored per _CHUNK
+        systems, which bounds its stack and the copy into starts."""
         s = self.starts
         missing = np.unique(systems[~self.has[systems]])
-        if missing.size:
-            s.put(missing, phase_one_batch(s.A[missing], s.d[missing], s.rows[missing]))
-            self.has[missing] = True
+        for k in range(0, missing.size, _CHUNK):
+            m = missing[k:k + _CHUNK]
+            s.put(m, phase_one_batch(s.A[m], s.d[m], s.rows[m]))
+        self.has[missing] = True
         return lp_max_batch(objectives, s, systems)
 
 
@@ -255,8 +257,7 @@ def _range_lps(st, open_, rows, off, tol):
     The carried point's image shows one side of the range; only the other
     side needs an LP. Otherwise both run, so that a split always has two
     feasible branches. A constant row needs none. All LPs run in one
-    lp_max_batch, after one phase_one_batch for the systems without a
-    start.
+    lp_max_batch, after phase 1 for the systems without a start.
     """
     P = st.P[open_]
     v = _dots(rows, P) + off
@@ -368,10 +369,10 @@ def star_sup_norm(stars, norm=LINF):
     The largest norm at the stars' carried points, L, is a lower bound
     that needs no LP. Every star whose closed-form bound can reach L is
     solved: both ends of each output coordinate that is not constant, all
-    in one lp_max_batch, after one phase_one_batch for the systems
-    without a start. The star that attains the supremum is among them and
-    none exceeds it, so the result is that of solving every star. A NaN
-    anywhere propagates to the result.
+    in one lp_max_batch, after phase 1 for the systems without a start.
+    The star that attains the supremum is among them and none exceeds
+    it, so the result is that of solving every star. A NaN anywhere
+    propagates to the result.
     """
     if not stars:
         raise ValueError("empty star list")

@@ -1,7 +1,16 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import nnbisim
 from nnbisim import Box, Layer, Network, lp_feasible, random_network, reach_box_split
+
+# The directory that holds the package these tests import, also when pytest
+# found it through its own pythonpath setting.
+PACKAGE_ROOT = os.path.dirname(os.path.dirname(nnbisim.__file__))
 
 
 def constant_net(value, input_dim=1, out_dim=1):
@@ -30,6 +39,19 @@ def whole_batch(net, X):
         Z = X @ lay.weights.T + lay.bias
         X = np.where(lay.relu_mask, np.maximum(Z, 0.0), Z)
     return X
+
+
+def run_one_blas_thread(script, *args):
+    """Run a Python script with args in a child process on one BLAS
+    thread, where the package under test and this directory import."""
+    one_thread = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                    "MKL_NUM_THREADS")}
+    path = [PACKAGE_ROOT, os.path.dirname(os.path.abspath(__file__)),
+            os.environ.get("PYTHONPATH")]
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], capture_output=True, text=True,
+        env={**os.environ, **one_thread,
+             "PYTHONPATH": os.pathsep.join(p for p in path if p)})
 
 
 def random_pair(seed, max_depth=3, max_width=3, max_dim=2, weight_range=1.0,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,9 @@ from nnbisim import (Box, LinearSpec, Layer, MergePreconditionError, Network,
                      NumericError, bisim_error_lower_mc, bisim_error_upper,
                      random_network, verify)
 from nnbisim.bisim import ErrorBound
-from nnbisim.network import _BLOCK_ROWS
-from conftest import constant_net, random_pair, whole_batch
+from nnbisim.network import _BLOCK_ROWS, _block_cuts
+from nnbisim.norms import batch_norms
+from conftest import constant_net, random_pair, run_one_blas_thread, whole_batch
 
 
 def dependency_loss_net():
@@ -134,31 +137,104 @@ class TestLowerBound:
         for jobs in (1, 2, 4):
             assert bisim_error_lower_mc(big, small, box, n, seed=9, jobs=jobs) == ref
 
-    @pytest.mark.parametrize("jobs", [2, 3])
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
     def test_thread_chunks_are_whole_blocks(self, monkeypatch, jobs):
-        # Chunks made of forward_batch's own blocks keep each row's offset,
-        # so a single-output net's gemv rounds the same rows as tail rows.
-        lengths = []
-        real = Network.forward_batch
+        # Every thread runs whole forward_batch blocks, each holding the
+        # rows of the one-pass sample matrix at its place. Chunks made of
+        # those blocks keep each row's offset, so a single-output net's
+        # gemv rounds the same rows as tail rows.
+        seen = []
+        real = Network._forward_block
 
-        def spy(net, X):
-            lengths.append(len(X))
-            return real(net, X)
+        def spy(net, X, out, work):
+            seen.append((net, X.copy()))
+            return real(net, X, out, work)
 
-        monkeypatch.setattr(Network, "forward_batch", spy)
+        monkeypatch.setattr(Network, "_forward_block", spy)
         big, small, box = random_pair(18)
-        bisim_error_lower_mc(big, small, box, 100_000, seed=0, jobs=jobs)
-        assert sum(lengths) == 2 * 100_000 and len(lengths) == 2 * jobs
-        assert sum(n % _BLOCK_ROWS != 0 for n in lengths) == 2  # one chunk per net
+        n = 100_000
+        bisim_error_lower_mc(big, small, box, n, seed=0, jobs=jobs)
+        ref = box.sample(np.random.default_rng(0), n)
+        bounds = [0, *_block_cuts(n), n]
+        assert all(a % _BLOCK_ROWS == 0 for a in bounds[:-1])
+        for net in (big, small):
+            blocks = []
+            for X in (X for owner, X in seen if owner is net):
+                a = int(np.flatnonzero((ref == X[0]).all(axis=1))[0])
+                assert np.array_equal(ref[a:a + len(X)], X)
+                blocks.append((a, a + len(X)))
+            assert sorted(blocks) == list(zip(bounds[:-1], bounds[1:]))
 
     def test_small_batch_is_one_chunk(self, monkeypatch):
         lengths = []
-        real = Network.forward_batch
-        monkeypatch.setattr(Network, "forward_batch",
-                            lambda net, X: lengths.append(len(X)) or real(net, X))
+        real = Network._forward_block
+        monkeypatch.setattr(Network, "_forward_block",
+                            lambda net, X, *a: lengths.append(len(X)) or real(net, X, *a))
         big, small, box = random_pair(18)
         bisim_error_lower_mc(big, small, box, 6000, seed=0, jobs=4)
         assert lengths == [6000, 6000]
+
+    @pytest.mark.parametrize("samples", [1, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3,
+                                         5 * _BLOCK_ROWS])
+    @pytest.mark.parametrize("lower, upper", [([-1.0], [2.0]), ([-1.0, 0.0], [1.0, 0.5]),
+                                              (-np.ones(5), np.ones(5)),
+                                              ([-1.0, 0.25, -2.0], [1.0, 0.25, 0.0])])
+    def test_float_hex_equal_to_one_pass(self, samples, lower, upper):
+        # Per-thread streams advanced past the earlier rows draw the
+        # one-pass matrix, also where a dimension is degenerate.
+        box = Box(lower, upper)
+        big = random_network([len(box), 6, 5, 3], 1.0, seed=31)
+        small = random_network([len(box), 4, 3], 1.0, seed=32)
+        X = box.sample(np.random.default_rng(5), samples)
+        D = whole_batch(big, X) - whole_batch(small, X)
+        for norm in ("inf", "l2"):
+            ref = float.hex(float(batch_norms(D, norm).max()))
+            for jobs in (1, 2, 3, 4):
+                got = bisim_error_lower_mc(big, small, box, samples, seed=5, norm=norm,
+                                           jobs=jobs)
+                assert float.hex(got) == ref, (norm, jobs)
+
+    def test_single_output_float_hex_equal_on_one_blas_thread(self):
+        # numpy hands a one-output layer to gemv, whose tail rows round
+        # differently, and a second BLAS thread splits the one-pass batch
+        # at an arbitrary row, hence the child process.
+        script = (
+            "import numpy as np\n"
+            "from conftest import whole_batch\n"
+            "from nnbisim import Box, bisim_error_lower_mc, random_network\n"
+            "from nnbisim.network import _BLOCK_ROWS\n"
+            "big = random_network([2, 50, 50, 1], 1.0, seed=0)\n"
+            "small = random_network([2, 20, 1], 1.0, seed=1)\n"
+            "box = Box([-1.0, -1.0], [1.0, 1.0])\n"
+            "for n in (2 * _BLOCK_ROWS + 3, 5 * _BLOCK_ROWS + 2049):\n"
+            "    X = box.sample(np.random.default_rng(3), n)\n"
+            "    ref = float(np.abs(whole_batch(big, X) - whole_batch(small, X)).max())\n"
+            "    for jobs in (1, 2, 3):\n"
+            "        got = bisim_error_lower_mc(big, small, box, n, seed=3, jobs=jobs)\n"
+            "        assert got.hex() == ref.hex(), (n, jobs)\n")
+        res = run_one_blas_thread(script)
+        assert res.returncode == 0, res.stderr
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_peak_memory_independent_of_samples(self, jobs):
+        # 400k samples of a [5, 50x6, 5] pair: the one-pass sample matrix
+        # alone is 15 MiB; streamed, the peak is jobs block workspaces.
+        big = random_network([5] + [50] * 6 + [5], 0.3, seed=1)
+        small = random_network([5] + [25] * 6 + [5], 0.3, seed=2)
+        box = Box(-np.ones(5), np.ones(5))
+        tracemalloc.start()
+        try:
+            bisim_error_lower_mc(big, small, box, 400_000, seed=0, jobs=jobs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_validated(self, jobs):
+        big, small, box = random_pair(18)
+        with pytest.raises(ValueError, match="jobs must be >= 1"):
+            bisim_error_lower_mc(big, small, box, 100, seed=0, jobs=jobs)
 
     def test_samples_validated(self):
         big, small, box = random_pair(18)

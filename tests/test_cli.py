@@ -138,6 +138,14 @@ class TestBisim:
         assert first.stdout == second.stdout
         assert first.returncode == second.returncode == 0
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_rejected(self, workdir, jobs):
+        res = run_cli("bisim", str(workdir / "big.json"), str(workdir / "small.json"),
+                      str(workdir / "problem.json"), "--mc", "100", "--jobs", jobs)
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert "error: jobs must be >= 1" in res.stderr
+
 
 class TestNonFiniteInput:
     @pytest.mark.parametrize("method", ["interval", "split", "exact"])

@@ -1,18 +1,12 @@
-import os
-import subprocess
-import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
-import nnbisim
 from nnbisim import (Box, Layer, Network, ShapeError, merge, random_network,
                      validate)
 from nnbisim.network import _BLOCK_ROWS
-from conftest import two_layer_vee, whole_batch
-
-PACKAGE_ROOT = os.path.dirname(os.path.dirname(nnbisim.__file__))
+from conftest import run_one_blas_thread, two_layer_vee, whole_batch
 
 
 class TestForward:
@@ -197,13 +191,7 @@ class TestForwardBatchActivations:
             "for extra in (1, 2, 3, 17, 2049, 3001):\n"
             "    X = np.random.default_rng(extra).uniform(-1, 1, (2 * _BLOCK_ROWS + extra, 2))\n"
             "    assert np.array_equal(net.forward_batch(X), whole_batch(net, X)), extra\n")
-        one_thread = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                                        "MKL_NUM_THREADS")}
-        path = [PACKAGE_ROOT, os.path.dirname(__file__), os.environ.get("PYTHONPATH")]
-        res = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True,
-            env={**os.environ, **one_thread,
-                 "PYTHONPATH": os.pathsep.join(p for p in path if p)})
+        res = run_one_blas_thread(script)
         assert res.returncode == 0, res.stderr
 
     def test_empty_batch(self):
