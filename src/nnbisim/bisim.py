@@ -20,7 +20,7 @@ import numpy as np
 from .errors import NumericError
 from .interval import reach_box_split
 from .merge import merge
-from .network import _block_cuts, _workspace, chunk_cuts
+from .network import _blocks, _workspace
 from .norms import LINF, batch_norms, check_norm
 from .star import DEFAULT_STAR_CAP, box_to_star, reach_stars
 
@@ -103,14 +103,14 @@ def bisim_error_lower_mc(net_big, net_small, box, samples, seed, norm=LINF,
     """Sampled lower bound on the bisimulation error.
 
     The samples are the rows of box.sample(np.random.default_rng(seed),
-    samples), taken in forward_batch's own blocks. Each of jobs threads
-    takes one run of whole blocks (network.chunk_cuts) and draws its rows
-    from its own generator, seeded alike and advanced past the earlier
-    rows: PCG64 draws one value per coordinate, so these are the rows of
+    samples), in forward_batch's blocks (network._blocks). Thread t of
+    jobs takes every jobs-th block from block t, drawing its rows from
+    its own generator, seeded alike and advanced past the blocks it
+    skips: PCG64 draws one value per coordinate, so these are the rows of
     the one-pass matrix. A thread runs each block through both nets into
-    buffers allocated once and keeps only the worst norm so far, so memory
-    grows with jobs and the widest layer, not with samples, and the
-    result does not depend on jobs (bit for bit on one BLAS thread).
+    buffers allocated once and keeps only the worst norm so far, so
+    memory grows with jobs and the widest layer, not with samples, and
+    the result does not depend on jobs (bit for bit on one BLAS thread).
     Raises NumericError when an output difference is not finite.
     """
     check_norm(norm)
@@ -119,22 +119,22 @@ def bisim_error_lower_mc(net_big, net_small, box, samples, seed, norm=LINF,
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     box.require_finite()
-    bounds = [0, *_block_cuts(samples), samples]
-    ends = [0, *chunk_cuts(samples, jobs), samples]
-    spans = [[c for c in bounds if a <= c <= b] for a, b in zip(ends[:-1], ends[1:])]
+    blocks = _blocks(samples)
+    shares = [blocks[t::jobs] for t in range(min(jobs, len(blocks)))]
     # Allocated here: what a worker thread allocates stays in its own
     # malloc arena after it ends.
-    rows = max(np.diff(bounds))
+    rows = max(b - a for a, b in blocks)
     buffers = [(_workspace(rows, net_big, net_small), np.empty((rows, net_big.output_dim)),
-                np.empty((rows, net_small.output_dim))) for _ in spans]
+                np.empty((rows, net_small.output_dim))) for _ in shares]
 
-    def worst(span, buffers):
+    def worst(share, buffers):
         work, Y_big, Y_small = buffers
-        rng = np.random.default_rng(seed)
-        rng.bit_generator.advance(span[0] * len(box))
+        rng, drawn = np.random.default_rng(seed), 0
         lower = -np.inf
         with np.errstate(over="ignore", invalid="ignore"):
-            for a, b in zip(span[:-1], span[1:]):
+            for a, b in share:
+                rng.bit_generator.advance((a - drawn) * len(box))
+                drawn = b
                 X, D, Y = box.sample(rng, b - a), Y_big[:b - a], Y_small[:b - a]
                 net_big._forward_block(X, D, work)
                 net_small._forward_block(X, Y, work)
@@ -143,11 +143,11 @@ def bisim_error_lower_mc(net_big, net_small, box, samples, seed, norm=LINF,
                 lower = np.maximum(lower, top)  # keeps a nan
         return lower
 
-    if len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-            lower = np.max(list(pool.map(worst, spans, buffers)))
+    if len(shares) > 1:
+        with ThreadPoolExecutor(max_workers=len(shares)) as pool:
+            lower = np.max(list(pool.map(worst, shares, buffers)))
     else:
-        lower = worst(spans[0], buffers[0])
+        lower = worst(shares[0], buffers[0])
     if not np.isfinite(lower):
         raise NumericError(f"sampled output difference is not finite: {lower}")
     return float(lower)

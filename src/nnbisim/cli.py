@@ -98,6 +98,8 @@ def cmd_merge(args):
 
 
 def cmd_bisim(args):
+    if args.mc is not None and args.mc < 1:
+        raise ValueError("samples must be >= 1")
     if args.jobs < 1:
         raise ValueError("jobs must be >= 1")
     net_big = _load_network(args.net_large)
@@ -108,7 +110,7 @@ def cmd_bisim(args):
                               norm=norm, splits=splits,
                               star_cap=args.star_cap)
     print(f"epsilon_upper={bound.epsilon_upper:.6f}")
-    if args.mc:
+    if args.mc is not None:
         lower = bisim_error_lower_mc(net_big, net_small, box, samples=args.mc,
                                      seed=args.seed, norm=norm, jobs=args.jobs)
         print(f"epsilon_lower_mc={lower:.6f}")
@@ -149,6 +151,8 @@ def _load_manifest(path):
         for key in ("id", "large", "small"):
             if key not in entry:
                 raise ParseError(f"missing field {key!r}", location=where)
+            if key != "id" and not isinstance(entry[key], str):
+                raise ParseError("must be a path string", location=f"{where}.{key}")
         pairs.append((str(entry["id"]), entry["large"], entry["small"]))
     return pairs
 
@@ -246,12 +250,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except MergePreconditionError as exc:
         print(f"error: merge precondition: {exc}", file=sys.stderr)
         return EXIT_MERGE
@@ -259,7 +257,8 @@ def main(argv=None):
     except (ResourceLimitError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    except ValueError as exc:  # bad shapes or argument values from input files
+    # ValueError: ParseError, and bad shapes or argument values from input files.
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -70,10 +70,19 @@ def eval_normalized(net, meta, x, normalize=True):
     return net.forward(xn) * meta.ranges[-1] + meta.means[-1]
 
 
+# What a line's end may carry past its last value: commas and whitespace
+# (str.isspace; no such character lies past U+3000).
+_TRAILING = "," + "".join(filter(str.isspace, map(chr, range(0x3001))))
+
+
 class _LineReader:
+    """A text's non-blank lines one at a time, after any leading // lines."""
+
     def __init__(self, text):
         self.lines = text.splitlines()
         self.pos = 0
+        while self.pos < len(self.lines) and self.lines[self.pos].strip()[:2] in ("", "//"):
+            self.pos += 1
 
     def next(self, what):
         while self.pos < len(self.lines):
@@ -84,96 +93,78 @@ class _LineReader:
         raise ParseError(f"unexpected end of file, expected {what}",
                          location=f"line {self.pos + 1}")
 
-    def rest_is_blank(self):
-        return all(not line.strip() for line in self.lines[self.pos:])
+    def numbers(self, what, cast, expect, label=None):
+        """The next line's number and its expect comma-separated values, cast
+        and with _TRAILING dropped; label (default what) names them in errors."""
+        lineno, line = self.next(what)
+        line, label = line.rstrip(_TRAILING), label or what
+        values = []
+        for t in line.split(",") if line else ():
+            try:
+                values.append(cast(t))
+            except ValueError:
+                raise ParseError(f"non-numeric token {t.strip()!r} in {label}",
+                                 location=f"line {lineno}") from None
+        if len(values) != expect:
+            raise ParseError(f"expected {expect} {label}, found {len(values)}",
+                             location=f"line {lineno}")
+        return lineno, values
 
 
-def _numbers(line, lineno, cast, expect=None, what="values"):
-    tokens = [t.strip() for t in line.split(",")]
-    while tokens and tokens[-1] == "":
-        tokens.pop()
-    values = []
-    for t in tokens:
-        try:
-            values.append(cast(t))
-        except ValueError:
-            raise ParseError(f"non-numeric token {t!r} in {what}",
-                             location=f"line {lineno}") from None
-    if expect is not None and len(values) != expect:
-        raise ParseError(f"expected {expect} {what}, found {len(values)}",
-                         location=f"line {lineno}")
-    return values
-
-
-def _nnet_body_fast(lines, sizes):
-    """Convert every weight and bias line in one pass.
-
-    Raises ValueError when a line's comma count differs from the header's
-    layout or a value does not convert; the caller then reruns the
-    per-line path, which names the offending line. float() is the same
-    conversion as the per-line path's, so the values are too.
-    """
-    body = [s.rstrip(", \t") for s in map(str.strip, lines) if s]
-    layout = []
-    for rows, cols in zip(sizes[1:], sizes[:-1]):
-        layout += [cols - 1] * rows + [0] * rows
-    if [s.count(",") for s in body] != layout:
-        raise ValueError("body does not match the header layout")
-    values = np.fromiter(map(float, ",".join(body).split(",")), dtype=float)
-    layers, pos = [], 0
-    for k, (rows, cols) in enumerate(zip(sizes[1:], sizes[:-1])):
-        W = values[pos:pos + rows * cols].reshape(rows, cols)
-        pos += rows * cols
-        make = Layer.linear if k == len(sizes) - 2 else Layer.relu
-        layers.append(make(W, values[pos:pos + rows]))
-        pos += rows
-    return layers
+def _body_walk(reader, sizes, layers):
+    """Read the first `layers` layers' lines one by one from the reader's
+    position, raising the ParseError of the first bad line, else return the
+    last line's number. Only bad files come here; good ones count no lines."""
+    for k, (rows, cols) in enumerate(zip(sizes[1:layers + 1], sizes[:layers])):
+        for i in range(rows):
+            reader.numbers(f"weight row {i} of layer {k}", float, cols,
+                           f"weights (layer {k}, row {i})")
+        for i in range(rows):
+            reader.numbers(f"bias {i} of layer {k}", float, 1, f"bias (layer {k}, neuron {i})")
+    return reader.pos
 
 
 def _nnet_body(reader, sizes):
-    """Per-line body parse; errors carry the offending line number."""
-    layers = []
-    num_layers = len(sizes) - 1
-    for k in range(num_layers):
-        rows, cols = sizes[k + 1], sizes[k]
-        W = np.zeros((rows, cols))
-        for i in range(rows):
-            lineno, line = reader.next(f"weight row {i} of layer {k}")
-            W[i] = _numbers(line, lineno, float, expect=cols,
-                            what=f"weights (layer {k}, row {i})")
-        b = np.zeros(rows)
-        for i in range(rows):
-            lineno, line = reader.next(f"bias {i} of layer {k}")
-            b[i] = _numbers(line, lineno, float, expect=1,
-                            what=f"bias (layer {k}, neuron {i})")[0]
-        make = Layer.linear if k == num_layers - 1 else Layer.relu
+    """The layers from the lines after the reader's position. Each layer is
+    converted in one pass, so faults are named in layer order; one whose
+    lines do not fit the header's layout or do not convert goes to _body_walk."""
+    body = [s.rstrip(_TRAILING) for s in map(str.strip, reader.lines[reader.pos:]) if s]
+    layers, pos = [], 0
+    for k, (rows, cols) in enumerate(zip(sizes[1:], sizes[:-1])):
+        lines, pos = body[pos:pos + 2 * rows], pos + 2 * rows
         try:
-            layers.append(make(W, b))
+            if [s.count(",") for s in lines] != [cols - 1] * rows + [0] * rows:
+                raise ValueError("body does not match the header layout")
+            values = np.fromiter(map(float, ",".join(lines).split(",")), dtype=float)
+        except ValueError:
+            _body_walk(reader, sizes, k + 1)  # raises: it reads the lines alike
+            raise
+        make = Layer.linear if k == len(sizes) - 2 else Layer.relu
+        try:
+            layers.append(make(values[:-rows].reshape(rows, cols), values[-rows:]))
         except ValueError as exc:
-            raise ParseError(f"{exc} (layer {k})", location=f"line {lineno}") from None
-    if not reader.rest_is_blank():
+            raise ParseError(f"{exc} (layer {k})",
+                             location=f"line {_body_walk(reader, sizes, k + 1)}") from None
+    if pos < len(body):
         raise ParseError("unexpected trailing content",
-                         location=f"line {reader.pos + 1}")
+                         location=f"line {_body_walk(reader, sizes, len(layers)) + 1}")
     return layers
 
 
 def parse_nnet(text):
     """Parse NNet text into (Network, NNetMeta).
 
-    Comment lines (leading //) are skipped; trailing commas and CRLF line
-    endings are tolerated. Errors carry the offending line number.
+    Comment lines (leading //) before the header are skipped; blank lines,
+    trailing commas and whitespace, and CRLF line endings are tolerated.
+    Errors carry the offending line number (see _nnet_body).
     """
     reader = _LineReader(text)
-    lineno, line = reader.next("header")
-    while line.startswith("//"):
-        lineno, line = reader.next("header")
-    num_layers, input_size, output_size, _max_width = _numbers(
-        line, lineno, int, expect=4, what="header fields")
+    lineno, (num_layers, input_size, output_size, _max_width) = reader.numbers(
+        "header", int, 4, "header fields")
     if num_layers < 1 or input_size < 1 or output_size < 1:
         raise ParseError("header counts must be positive", location=f"line {lineno}")
 
-    lineno, line = reader.next("layer sizes")
-    sizes = _numbers(line, lineno, int, expect=num_layers + 1, what="layer sizes")
+    lineno, sizes = reader.numbers("layer sizes", int, num_layers + 1)
     if sizes[0] != input_size:
         raise ParseError(f"first layer size {sizes[0]} != inputSize {input_size}",
                          location=f"line {lineno}")
@@ -185,25 +176,16 @@ def parse_nnet(text):
 
     reader.next("legacy flag line")  # historical field, ignored
 
-    mins_line, line = reader.next("input minimums")
-    mins = _numbers(line, mins_line, float, expect=input_size, what="input minimums")
-    lineno, line = reader.next("input maximums")
-    maxes = _numbers(line, lineno, float, expect=input_size, what="input maximums")
+    mins_line, mins = reader.numbers("input minimums", float, input_size)
+    _, maxes = reader.numbers("input maximums", float, input_size)
     if any(lo > hi for lo, hi in zip(mins, maxes)):
         raise ParseError("input minimums exceed maximums", location=f"line {mins_line}")
-    lineno, line = reader.next("means")
-    means = _numbers(line, lineno, float, expect=input_size + 1, what="means")
-    ranges_line, line = reader.next("ranges")
-    ranges = _numbers(line, ranges_line, float, expect=input_size + 1, what="ranges")
+    _, means = reader.numbers("means", float, input_size + 1)
+    ranges_line, ranges = reader.numbers("ranges", float, input_size + 1)
     if any(r == 0 for r in ranges):
         raise ParseError("ranges entries must be nonzero", location=f"line {ranges_line}")
     meta = NNetMeta(mins, maxes, means, ranges)
-
-    try:
-        layers = _nnet_body_fast(reader.lines[reader.pos:], sizes)
-    except ValueError:
-        layers = _nnet_body(reader, sizes)
-    return Network(input_size, layers), meta
+    return Network(input_size, _nnet_body(reader, sizes)), meta
 
 
 def _fmt(x):
@@ -369,9 +351,13 @@ def parse_problem(text):
                 raise ParseError("must be an object", location=cpath)
             _reject_unknown(con, {"a", "b"}, cpath)
             a = _float_array(_require(con, "a", cpath), f"{cpath}.a")
+            if not np.isfinite(a).all():
+                raise ParseError("must be finite", location=f"{cpath}.a")
             b = _require(con, "b", cpath)
             if not isinstance(b, (int, float)) or isinstance(b, bool):
                 raise ParseError("must be a number", location=f"{cpath}.b")
+            if not np.isfinite(float(b)):
+                raise ParseError("must be finite", location=f"{cpath}.b")
             if width is None:
                 width = a.shape[0]
             elif a.shape[0] != width:

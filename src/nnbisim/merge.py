@@ -11,7 +11,7 @@ layer subtracts the two output blocks.
 import numpy as np
 
 from .errors import MergePreconditionError, UnsupportedShapeError
-from .network import IDENTITY, Layer, Network
+from .network import Layer, Network
 
 
 def _block_diag(top_left, bottom_right):
@@ -26,14 +26,18 @@ def _block_diag(top_left, bottom_right):
 def merge(net_big, net_small):
     """Build the difference network of net_big and net_small.
 
+    Layer 1 stacks both first layers; each layer m = 2..L puts big's
+    layer m block-diagonally beside a partner: small's layer m, then an
+    identity pass-through once small's hidden layers run out, and small's
+    output layer at m = L. Layer L+1 is the comparison [I, -I].
+
     Preconditions (each violation is reported by name):
       - equal input dimensions,
       - equal output dimensions,
       - net_big has at least as many affine layers as net_small,
       - net_small has at least 2 affine layers.
     """
-    L = net_big.num_layers
-    S = net_small.num_layers
+    L, S = net_big.num_layers, net_small.num_layers
     if net_big.input_dim != net_small.input_dim:
         raise MergePreconditionError(
             f"input dimensions differ: {net_big.input_dim} vs {net_small.input_dim}")
@@ -47,46 +51,17 @@ def merge(net_big, net_small):
         raise UnsupportedShapeError(
             f"small network must have at least 2 affine layers, got {S}")
 
-    big = net_big.layers
-    small = net_small.layers
-    pass_width = small[S - 2].rows  # width of the small net's layer S-1
-    out_width = net_big.output_dim
-
-    layers = []
-    # m = 1: stack both first layers on the shared input.
-    layers.append(Layer(
-        np.vstack([big[0].weights, small[0].weights]),
-        np.concatenate([big[0].bias, small[0].bias]),
-        big[0].activations + small[0].activations,
-    ))
-    # m = 2 .. L-1: run both branches in parallel; once the small branch is
-    # out of hidden layers, pass its values through unchanged.
-    for m in range(2, L):
-        bl = big[m - 1]
-        if m <= S - 1:
-            sl = small[m - 1]
-            layers.append(Layer(
-                _block_diag(bl.weights, sl.weights),
-                np.concatenate([bl.bias, sl.bias]),
-                bl.activations + sl.activations,
-            ))
-        else:
-            layers.append(Layer(
-                _block_diag(bl.weights, np.eye(pass_width)),
-                np.concatenate([bl.bias, np.zeros(pass_width)]),
-                bl.activations + (IDENTITY,) * pass_width,
-            ))
-    # m = L: both output layers side by side.
-    layers.append(Layer(
-        _block_diag(big[L - 1].weights, small[S - 1].weights),
-        np.concatenate([big[L - 1].bias, small[S - 1].bias]),
-        big[L - 1].activations + small[S - 1].activations,
-    ))
-    # m = L+1: comparison layer [I, -I].
-    layers.append(Layer(
-        np.hstack([np.eye(out_width), -np.eye(out_width)]),
-        np.zeros(out_width),
-        (IDENTITY,) * out_width,
-    ))
+    big, small = net_big.layers, net_small.layers
+    width = small[S - 2].rows
+    identity = Layer.linear(np.eye(width), np.zeros(width)) if L > S else None
+    partners = [*small[1:S - 1], *[identity] * (L - S), small[S - 1]]
+    layers = [Layer(np.vstack([big[0].weights, small[0].weights]),
+                    np.concatenate([big[0].bias, small[0].bias]),
+                    big[0].activations + small[0].activations)]
+    for bl, sl in zip(big[1:], partners, strict=True):
+        layers.append(Layer(_block_diag(bl.weights, sl.weights),
+                            np.concatenate([bl.bias, sl.bias]),
+                            bl.activations + sl.activations))
+    out = net_big.output_dim
+    layers.append(Layer.linear(np.hstack([np.eye(out), -np.eye(out)]), np.zeros(out)))
     return Network(net_big.input_dim, layers)
-

@@ -16,18 +16,14 @@ IDENTITY = "identity"
 _BLOCK_ROWS = 4096
 
 
-def _block_cuts(n):
-    """forward_batch's block starts in an n-row batch, past the first."""
-    return list(range(_BLOCK_ROWS, n - _BLOCK_ROWS // 2 + 1, _BLOCK_ROWS))
-
-
-def chunk_cuts(n, parts):
-    """Cuts of an n-row batch into at most parts runs of forward_batch's
-    own blocks, at the block starts nearest k * n / parts: separate calls
-    on the runs give the rows of one call bit for bit."""
-    starts = _block_cuts(n)
-    near = {min(round(k * n / parts / _BLOCK_ROWS), len(starts)) for k in range(1, parts)}
-    return [starts[c - 1] for c in sorted(near - {0})]
+def _blocks(n):
+    """The (start, end) row blocks of an n-row batch, for forward_batch and
+    the Monte-Carlo bound's threads alike. Blocks start at multiples of
+    _BLOCK_ROWS, so a row keeps its offset modulo any BLAS unroll that
+    divides _BLOCK_ROWS; a remainder under half a block joins the last
+    one."""
+    cuts = [0, *range(_BLOCK_ROWS, n - _BLOCK_ROWS // 2 + 1, _BLOCK_ROWS), n]
+    return list(zip(cuts[:-1], cuts[1:]))
 
 
 def _workspace(rows, *nets):
@@ -147,24 +143,21 @@ class Network:
     def forward_batch(self, X):
         """Evaluate a batch of inputs, rows = samples. Returns (n, out_dim).
 
-        Rows run in blocks, each through every layer before the next (see
-        _forward_block), straight into one preallocated output; one
+        Rows run in _blocks(n), each through every layer before the next
+        (see _forward_block), straight into one preallocated output; one
         workspace sized to the largest block serves every block, so the
         call's memory past X and the output stays cache-sized whatever n
-        is. Blocks start at multiples of _BLOCK_ROWS, and a remainder
-        under half a block joins the last one. A row thus keeps its
-        offset modulo any BLAS unroll that divides _BLOCK_ROWS: with one
-        BLAS thread the result is the whole-batch pass bit for bit, also
-        where numpy hands a one-output layer to gemv.
+        is. With one BLAS thread the result is the whole-batch pass bit
+        for bit, also where numpy hands a one-output layer to gemv.
         """
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.input_dim:
             raise ShapeError(
                 f"batch has shape {X.shape}, expected (n, {self.input_dim})")
         out = np.empty((X.shape[0], self.output_dim))
-        bounds = [0, *_block_cuts(X.shape[0]), X.shape[0]]
-        work = _workspace(max(np.diff(bounds)), self)
-        for a, b in zip(bounds[:-1], bounds[1:]):
+        blocks = _blocks(X.shape[0])
+        work = _workspace(max(b - a for a, b in blocks), self)
+        for a, b in blocks:
             self._forward_block(X[a:b], out[a:b], work)
         return out
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bisim import (DEFAULT_COMPRESSED_METHOD, DEFAULT_METHOD,
                     bisim_error_upper, reach)
-from .errors import ShapeError
+from .errors import NumericError, ShapeError
 from .lp import FEAS_TOL
 from .norms import LINF, check_norm, dual_norm
 from .star import DEFAULT_STAR_CAP
@@ -37,13 +37,16 @@ class LinearSpec:
 
     def __init__(self, unsafe_polytopes):
         self.unsafe_polytopes = []
-        for A, d in unsafe_polytopes:
+        for j, (A, d) in enumerate(unsafe_polytopes):
             A = np.atleast_2d(np.asarray(A, dtype=float))
             d = np.atleast_1d(np.asarray(d, dtype=float))
             if A.shape[0] != d.shape[0]:
                 raise ShapeError("polytope rows != rhs length")
             if A.shape[0] < 1:
                 raise ValueError("unsafe polytope must have at least one constraint")
+            bad = np.flatnonzero(~(np.isfinite(A).all(axis=1) & np.isfinite(d)))
+            if bad.size:
+                raise ValueError(f"unsafe polytope {j}, row {bad[0]}: constraint must be finite")
             self.unsafe_polytopes.append((A, d))
 
     @property
@@ -144,7 +147,8 @@ def inflate_spec(spec, eps, norm=LINF):
     """Expand each unsafe halfspace a.y <= b to a.y <= b + eps*||a||_dual.
 
     The result contains the Minkowski sum of the unsafe region with the
-    eps-ball of the given norm; eps = 0 returns the spec unchanged.
+    eps-ball of the given norm; eps = 0 returns the spec unchanged. A
+    shifted bound that overflows raises NumericError.
     """
     check_norm(norm)
     if eps < 0:
@@ -152,9 +156,12 @@ def inflate_spec(spec, eps, norm=LINF):
     if eps == 0:
         return spec
     inflated = []
-    for A, d in spec.unsafe_polytopes:
-        shift = np.array([eps * dual_norm(row, norm) for row in A])
-        inflated.append((A, d + shift))
+    for j, (A, d) in enumerate(spec.unsafe_polytopes):
+        shifted = d + np.array([eps * dual_norm(row, norm) for row in A])
+        bad = np.flatnonzero(~np.isfinite(shifted))
+        if bad.size:
+            raise NumericError(f"inflated unsafe bound overflowed: polytope {j}, row {bad[0]}")
+        inflated.append((A, shifted))
     return LinearSpec(inflated)
 
 

@@ -9,7 +9,7 @@ from nnbisim import (Box, LinearSpec, Layer, MergePreconditionError, Network,
                      NumericError, bisim_error_lower_mc, bisim_error_upper,
                      random_network, verify)
 from nnbisim.bisim import ErrorBound
-from nnbisim.network import _BLOCK_ROWS, _block_cuts
+from nnbisim.network import _BLOCK_ROWS, _blocks
 from nnbisim.norms import batch_norms
 from conftest import constant_net, random_pair, run_one_blas_thread, whole_batch
 
@@ -155,15 +155,15 @@ class TestLowerBound:
         n = 100_000
         bisim_error_lower_mc(big, small, box, n, seed=0, jobs=jobs)
         ref = box.sample(np.random.default_rng(0), n)
-        bounds = [0, *_block_cuts(n), n]
-        assert all(a % _BLOCK_ROWS == 0 for a in bounds[:-1])
+        bounds = _blocks(n)
+        assert all(a % _BLOCK_ROWS == 0 for a, _ in bounds)
         for net in (big, small):
             blocks = []
             for X in (X for owner, X in seen if owner is net):
                 a = int(np.flatnonzero((ref == X[0]).all(axis=1))[0])
                 assert np.array_equal(ref[a:a + len(X)], X)
                 blocks.append((a, a + len(X)))
-            assert sorted(blocks) == list(zip(bounds[:-1], bounds[1:]))
+            assert sorted(blocks) == bounds
 
     def test_small_batch_is_one_chunk(self, monkeypatch):
         lengths = []

@@ -314,3 +314,86 @@ class TestProblemDefaults:
                       str(workdir / "small.json"), str(prob),
                       "--method", "interval")
         assert "method=interval " in res.stderr
+
+
+def _problem_with(workdir, a="[1.0]", b="0.0"):
+    path = workdir / "spec.json"
+    path.write_text(f"""{{
+        "input": {{"lower": [-1.0], "upper": [1.0]}},
+        "unsafe": [[{{"a": {a}, "b": {b}}}]]
+    }}""")
+    return str(path)
+
+
+def _manifest_with(workdir, large):
+    path = workdir / "bad_manifest.json"
+    path.write_text(json.dumps([{"id": "P", "large": large,
+                                 "small": str(workdir / "small.json")}]))
+    return str(path)
+
+
+def _far_apart_manifest(workdir):
+    """Constant nets 1e300 and -1e300 apart: epsilon is finite, but a spec
+    row scaled by 1e10 overflows once inflated by it."""
+    for name, value in (("high", 1e300), ("low", -1e300)):
+        (workdir / f"{name}.json").write_text(write_json_net(constant_net(value)))
+    path = workdir / "far_manifest.json"
+    path.write_text(json.dumps([{"id": "P", "large": str(workdir / "high.json"),
+                                 "small": str(workdir / "low.json")}]))
+    return str(path)
+
+
+def _pair(workdir, *flags):
+    return ["bisim", str(workdir / "big.json"), str(workdir / "small.json"),
+            str(workdir / "problem.json"), *flags]
+
+
+def _case(name, argv, code, line):
+    """argv for the workdir w, exit code, and the one stderr line, where
+    {w} stands for the workdir."""
+    return pytest.param(argv, code, line, id=name)
+
+
+ERROR_CASES = [
+    _case("mc_zero", lambda w: _pair(w, "--mc", "0"), 2, "error: samples must be >= 1"),
+    _case("mc_negative", lambda w: _pair(w, "--mc", "-5"), 2, "error: samples must be >= 1"),
+    _case("jobs_zero", lambda w: _pair(w, "--mc", "100", "--jobs", "0"), 2,
+          "error: jobs must be >= 1"),
+    _case("splits_zero", lambda w: _pair(w, "--method", "split", "--splits", "0"), 2,
+          "error: cells_per_dim must be >= 1"),
+    _case("star_cap_zero", lambda w: ["verify", str(w / "big.json"), str(w / "problem.json"),
+                                      "--method", "exact", "--star-cap", "0"], 2,
+          "error: star_cap must be >= 1"),
+    _case("missing_file", lambda w: ["info", str(w / "missing.nnet")], 2,
+          "error: [Errno 2] No such file or directory: '{w}/missing.nnet'"),
+    _case("manifest_null", lambda w: ["report", _manifest_with(w, None), str(w / "problem.json")],
+          2, "error: {w}/bad_manifest.json[0].large: must be a path string"),
+    _case("manifest_list", lambda w: ["report", _manifest_with(w, ["x"]),
+                                      str(w / "problem.json")],
+          2, "error: {w}/bad_manifest.json[0].large: must be a path string"),
+    _case("manifest_int", lambda w: ["report", _manifest_with(w, 7), str(w / "problem.json")],
+          2, "error: {w}/bad_manifest.json[0].large: must be a path string"),
+    _case("spec_inf_a", lambda w: ["verify", str(w / "const1.json"),
+                                   _problem_with(w, a="[Infinity]")],
+          2, "error: unsafe[0][0].a: must be finite"),
+    _case("spec_nan_b", lambda w: ["verify", str(w / "const1.json"), _problem_with(w, b="NaN")],
+          2, "error: unsafe[0][0].b: must be finite"),
+    _case("spec_neg_inf_b", lambda w: ["report", _manifest_with(w, str(w / "big.json")),
+                                       _problem_with(w, b="-Infinity")],
+          2, "error: unsafe[0][0].b: must be finite"),
+    _case("inflated_overflow", lambda w: ["report", _far_apart_manifest(w),
+                                          _problem_with(w, a="[1e10]"), "--method", "interval"],
+          1, "error: inflated unsafe bound overflowed: polytope 0, row 0"),
+]
+
+
+class TestErrorContract:
+    """Bad flags and bad files end in their exit code, an empty stdout and
+    one error line on stderr, before any result is printed."""
+
+    @pytest.mark.parametrize("argv, code, line", ERROR_CASES)
+    def test_exit_code_and_one_error_line(self, workdir, argv, code, line):
+        res = run_cli(*argv(workdir))
+        assert res.returncode == code
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [line.format(w=workdir)]

@@ -90,10 +90,10 @@ class TestParseNNet:
         variant = "\r\n".join(line + (" , ,\t" if i % 2 else ",") + "\r\n" * (i % 3 == 0)
                                for i, line in enumerate(lines)) + "\r\n\r\n"
 
-        def per_line(reader, sizes):
-            raise AssertionError("the per-line body path ran")
+        def walk(reader, sizes, layers):
+            raise AssertionError("the diagnosis walk ran")
 
-        monkeypatch.setattr(formats, "_nnet_body", per_line)
+        monkeypatch.setattr(formats, "_body_walk", walk)
         again, _ = parse_nnet(variant)
         assert nets_equal(net, again)
 
@@ -104,6 +104,92 @@ class TestParseNNet:
         again, meta2 = parse_nnet(write_nnet(net, meta))
         assert nets_equal(net, again)
         assert np.array_equal(meta.means, meta2.means)
+
+
+def _body_case(lines, case):
+    """The [3,4,2] file's lines with one body fault, plus the expected error
+    as (message, 0-based line of the undecorated file it names, how):
+    how is "at" that line, "after" it (the next raw line) or "eof"."""
+    lines = list(lines)
+    # 8-11 weight rows and 12-15 biases of layer 0, 16-17 and 18-19 of layer 1
+    if case == "eof_in_weights":
+        return lines[:10], ("unexpected end of file, expected weight row 2 of layer 0",
+                            None, "eof")
+    if case == "eof_in_biases":
+        return lines[:14], ("unexpected end of file, expected bias 2 of layer 0", None, "eof")
+    if case == "short_weight_row":
+        lines[9] = lines[9].rsplit(",", 1)[0]
+        return lines, ("expected 3 weights (layer 0, row 1), found 2", 9, "at")
+    if case == "long_weight_row":
+        lines[16] += ",0.5"
+        return lines, ("expected 4 weights (layer 1, row 0), found 5", 16, "at")
+    if case == "two_biases":
+        lines[13] += ",0.5"
+        return lines, ("expected 1 bias (layer 0, neuron 1), found 2", 13, "at")
+    if case == "non_numeric_weight":
+        lines[10] = "x1," + lines[10].split(",", 1)[1]
+        return lines, ("non-numeric token 'x1' in weights (layer 0, row 2)", 10, "at")
+    if case == "non_numeric_bias":
+        lines[19] = "bias?"
+        return lines, ("non-numeric token 'bias?' in bias (layer 1, neuron 1)", 19, "at")
+    if case == "nan_weight":
+        lines[11] = "nan," + lines[11].split(",", 1)[1]
+        return lines, ("layer weights must be finite, found nan at index (3, 0) (layer 0)",
+                       15, "at")
+    if case == "inf_bias":
+        lines[18] = "inf"
+        return lines, ("layer bias must be finite, found inf at index 0 (layer 1)", 19, "at")
+    assert case == "trailing_content"
+    return lines + ["999.0"], ("unexpected trailing content", 19, "after")
+
+
+def _decorate(lines, comments, blanks, crlf):
+    """Text of lines, optionally with two leading comment lines, a blank
+    line after each line and CRLF ends; also each line's number in that
+    text, and the text's line count."""
+    out, where = ["// extra", "// comments"] if comments else [], []
+    for i, line in enumerate(lines):
+        where.append(len(out) + 1)
+        out.append(line)
+        if blanks:
+            out.append(" \t" if i % 2 else "")
+    eol = "\r\n" if crlf else "\n"
+    return eol.join(out) + eol, where, len(out)
+
+
+class TestNNetBodyErrors:
+    """Every body fault is named with its message and line, also when
+    comments, blank lines and CRLF ends move the lines."""
+
+    @pytest.mark.parametrize("style", ["plain", "comments", "blanks", "crlf", "all"])
+    @pytest.mark.parametrize("case", ["eof_in_weights", "eof_in_biases", "short_weight_row",
+                                      "long_weight_row", "two_biases", "non_numeric_weight",
+                                      "non_numeric_bias", "nan_weight", "inf_bias",
+                                      "trailing_content"])
+    def test_message_and_line(self, case, style):
+        plain = write_nnet(random_network([3, 4, 2], 1.0, seed=5),
+                           NNetMeta.identity(3)).splitlines()
+        assert len(plain) == 20
+        lines, (message, anchor, how) = _body_case(plain, case)
+        text, where, total = _decorate(lines, comments=style in ("comments", "all"),
+                                       blanks=style in ("blanks", "all"),
+                                       crlf=style in ("crlf", "all"))
+        line = {"eof": lambda: total + 1, "at": lambda: where[anchor],
+                "after": lambda: where[anchor] + 1}[how]()
+        with pytest.raises(ParseError) as info:
+            parse_nnet(text)
+        assert str(info.value) == f"line {line}: {message}"
+
+    def test_faults_are_named_in_layer_order(self):
+        # A non-finite layer 0 is named before a bad line of layer 1.
+        lines = write_nnet(random_network([3, 4, 2], 1.0, seed=5),
+                           NNetMeta.identity(3)).splitlines()
+        lines[12] = "inf"
+        lines[16] = "0.5"
+        with pytest.raises(ParseError) as info:
+            parse_nnet("\n".join(lines))
+        assert str(info.value) == ("line 16: layer bias must be finite, found inf "
+                                   "at index 0 (layer 0)")
 
 
 class TestWriteNNet:
@@ -282,6 +368,20 @@ class TestParseProblem:
             text = self.GOOD.replace("}]]", "}]], " + patch)
             with pytest.raises(ParseError):
                 parse_problem(text)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ["a", "b"])
+    def test_non_finite_constraint_rejected(self, value, field):
+        # Python's json reads NaN and Infinity as numbers.
+        con = {"a": "[1.0]", "b": "0.0"}
+        con[field] = f"[{value}]" if field == "a" else value
+        text = f"""{{
+            "input": {{"lower": [-1.0], "upper": [1.0]}},
+            "unsafe": [[{{"a": [1.0], "b": 0.0}}, {{"a": {con["a"]}, "b": {con["b"]}}}]]
+        }}"""
+        with pytest.raises(ParseError) as info:
+            parse_problem(text)
+        assert str(info.value) == f"unsafe[0][1].{field}: must be finite"
 
     @pytest.mark.parametrize("value", ["true", "false", "2.0"])
     def test_splits_must_be_a_positive_integer(self, value):

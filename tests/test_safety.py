@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 import nnbisim.interval
 import nnbisim.star
-from nnbisim import (Box, Layer, LinearSpec, Network, ShapeError, lp_feasible,
-                     Verdict, bisim_error_upper, inflate_spec, random_network,
-                     split_box, verify, verify_via_compressed)
+from nnbisim import (Box, Layer, LinearSpec, Network, NumericError, ShapeError,
+                     Verdict, bisim_error_upper, inflate_spec, lp_feasible,
+                     random_network, split_box, verify, verify_via_compressed)
 from nnbisim.safety import (SAFE, SEARCH_SAMPLES, UNCERTAIN, UNSAFE,
                             BisimReport, report_csv,
                             report_table)
@@ -267,6 +267,14 @@ class TestInflate:
         with pytest.raises(ValueError):
             inflate_spec(halfspace([1.0], 0.0), -1.0, "inf")
 
+    def test_overflowing_shift_is_a_numeric_error(self):
+        # A finite spec and epsilon whose shifted bound overflows is a
+        # numeric failure, not a bad constraint.
+        with pytest.raises(NumericError, match=r"^inflated unsafe bound overflowed: "
+                                               r"polytope 0, row 1$"):
+            inflate_spec(LinearSpec([(np.array([[1.0], [1e10]]), np.zeros(2))]),
+                         1e300, "inf")
+
     def test_monotone_in_eps(self):
         spec = LinearSpec([(np.array([[1.0, -2.0], [0.5, 0.5]]),
                             np.array([1.0, 2.0]))])
@@ -363,6 +371,19 @@ class TestVerdictAndSpec:
     def test_spec_requires_rows(self):
         with pytest.raises(ValueError):
             LinearSpec([(np.zeros((0, 2)), np.zeros(0))])
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["a", "b"])
+    def test_spec_rejects_non_finite_constraints(self, value, where):
+        # An infinite row once read Unsafe by interval and Safe by split.
+        A, d = np.array([[1.0, 0.0], [0.0, 1.0]]), np.array([0.0, 1.0])
+        if where == "a":
+            A[1, 0] = value
+        else:
+            d[1] = value
+        with pytest.raises(ValueError, match=r"^unsafe polytope 1, row 1: constraint "
+                                             r"must be finite$"):
+            LinearSpec([(np.eye(2), np.zeros(2)), (A, d)])
 
     def test_holds_at_is_exact(self):
         spec = halfspace([1.0], 0.0)
