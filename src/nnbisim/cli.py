@@ -24,7 +24,7 @@ from .errors import MergePreconditionError, ParseError, ResourceLimitError
 from .formats import parse_json_net, parse_nnet, parse_problem, write_json_net
 from .merge import merge
 from .norms import LINF, NORMS
-from .safety import (SAFE, UNSAFE, report_csv, report_table, verify,
+from .safety import (DEFAULT_SEED, SAFE, UNSAFE, report_csv, report_table, verify,
                      verify_via_compressed)
 from .star import DEFAULT_STAR_CAP
 
@@ -189,7 +189,8 @@ def _add_backend_flags(p, with_norm=False):
     p.add_argument("--splits", type=int, help="cells per input dimension for --method split")
     if with_norm:
         p.add_argument("--norm", choices=NORMS, help="output norm (default inf)")
-    p.add_argument("--seed", type=int, default=42, help="seed for sampling (default 42)")
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                   help="seed for sampling (default %(default)s)")
     p.add_argument("--star-cap", type=int, default=DEFAULT_STAR_CAP,
                    help="abort exact reachability beyond this many stars")
 

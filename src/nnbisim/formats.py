@@ -239,12 +239,18 @@ def _positive_int(value, path):
 
 
 def _float_array(value, path, ndim=1):
+    """value as an ndim-dimensional float array; JSON true/false and
+    integers beyond the range of a double are rejected."""
     try:
         arr = np.array(value, dtype=float)
+    except OverflowError:
+        raise ParseError("integer too large for a double", location=path) from None
     except (TypeError, ValueError):
         raise ParseError("expected a numeric array", location=path) from None
     if arr.ndim != ndim:
         raise ParseError(f"expected a {ndim}-dimensional numeric array", location=path)
+    if any(bool in map(type, row) for row in (value if ndim == 2 else [value])):
+        raise ParseError("expected a numeric array", location=path)
     return arr
 
 
@@ -356,7 +362,8 @@ def parse_problem(text):
             b = _require(con, "b", cpath)
             if not isinstance(b, (int, float)) or isinstance(b, bool):
                 raise ParseError("must be a number", location=f"{cpath}.b")
-            if not np.isfinite(float(b)):
+            b = _float_array([b], f"{cpath}.b")[0]
+            if not np.isfinite(b):
                 raise ParseError("must be finite", location=f"{cpath}.b")
             if width is None:
                 width = a.shape[0]
@@ -365,7 +372,7 @@ def parse_problem(text):
                     f"constraint length {a.shape[0]} != {width} used earlier in this polytope",
                     location=f"{cpath}.a")
             rows.append(a)
-            rhs.append(float(b))
+            rhs.append(b)
         polytopes.append((np.array(rows), np.array(rhs)))
     spec = LinearSpec(polytopes)
 

@@ -72,6 +72,13 @@ def _finite(*arrays):
     return all(np.isfinite(a).all() for a in arrays)
 
 
+def _affine_bounds(lower, upper, W, b=0.0):
+    """Bounds of W y + b over each row box [lower_i, upper_i] (module docstring)."""
+    W_pos, W_neg = np.maximum(W, 0.0).T, np.minimum(W, 0.0).T
+    return (lower @ W_pos + upper @ W_neg + b,
+            upper @ W_pos + lower @ W_neg + b)
+
+
 def _propagate(net, lower, upper):
     """Output bounds of every row box [lower_i, upper_i] through net.
 
@@ -80,10 +87,7 @@ def _propagate(net, lower, upper):
     finite_in = _finite(lower, upper)
     with np.errstate(over="ignore", invalid="ignore"):
         for lay in net.layers:
-            W_pos = np.maximum(lay.weights, 0.0).T
-            W_neg = np.minimum(lay.weights, 0.0).T
-            lower, upper = (lower @ W_pos + upper @ W_neg + lay.bias,
-                            upper @ W_pos + lower @ W_neg + lay.bias)
+            lower, upper = _affine_bounds(lower, upper, lay.weights, lay.bias)
             lay.activate_inplace(lower)
             lay.activate_inplace(upper)
     if finite_in and not _finite(lower, upper):

@@ -35,13 +35,11 @@ def dual_norm(a, norm=LINF):
 
 
 def sup_norm_box(box, norm=LINF):
-    """sup of ||y|| over an interval box (exact for both norms).
+    """sup of ||y|| over an interval box (exact for both norms): the norm
+    of its corner farthest from 0, |y_i| = max(|lower_i|, |upper_i|).
 
     Also takes a batch of boxes with (n, dim) bounds, giving the largest
     sup over the batch.
     """
     worst = np.maximum(np.abs(box.lower), np.abs(box.upper))
-    if norm == LINF:
-        return float(worst.max())
-    check_norm(norm)
-    return float(np.sqrt(np.sum(worst**2, axis=-1)).max())
+    return float(batch_norms(np.atleast_2d(worst), norm).max())

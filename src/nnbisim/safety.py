@@ -12,6 +12,8 @@ region by the certified bisimulation error: a Safe verdict on the small
 network then lifts to the original, while anything else stays Uncertain.
 """
 
+import csv
+import io
 from dataclasses import dataclass
 from time import perf_counter
 
@@ -20,6 +22,7 @@ import numpy as np
 from .bisim import (DEFAULT_COMPRESSED_METHOD, DEFAULT_METHOD,
                     bisim_error_upper, reach)
 from .errors import NumericError, ShapeError
+from .interval import _affine_bounds
 from .lp import FEAS_TOL
 from .norms import LINF, check_norm, dual_norm
 from .star import DEFAULT_STAR_CAP
@@ -100,15 +103,14 @@ def _check_spec_dim(net, spec):
 def _clear(reached, spec):
     """True when every set of a reach set misses every unsafe polytope.
 
-    reached.lower and .upper are (n, dim) outer bounds of the n sets. min
-    over such a box of a.y is lower @ A+^T + upper @ A-^T for all rows at
-    once; a set on which some row's minimum exceeds d + FEAS_TOL misses
-    that polytope outright. Only the sets left over go to
+    reached.lower and .upper are (n, dim) outer bounds of the n sets; the
+    lower end of interval._affine_bounds over them is min a.y for every
+    row at once. A set on which some row's minimum exceeds d + FEAS_TOL
+    misses that polytope outright. Only the sets left over go to
     reached.intersects(i, A, d), the LP.
     """
     for A, d in spec.unsafe_polytopes:
-        row_min = (reached.lower @ np.maximum(A, 0.0).T
-                   + reached.upper @ np.minimum(A, 0.0).T)
+        row_min = _affine_bounds(reached.lower, reached.upper, A)[0]
         missed = np.any(row_min > d + FEAS_TOL, axis=1)
         if any(reached.intersects(i, A, d) for i in np.flatnonzero(~missed)):
             return False
@@ -173,20 +175,19 @@ def verify_via_compressed(net_big, net_small, box, spec,
                           large_splits=None):
     """Verify net_big through its compressed stand-in net_small.
 
-    Computes the certified error bound, verifies the small network against
-    the inflated unsafe region, and lifts a Safe verdict to the original.
-    The compressed path never reports Unsafe: the bound is an
-    over-approximation, so an intersection proves nothing about net_big.
-    time_small_seconds covers the whole compressed path (error bound plus
-    small-network verification).
+    Computes the certified error bound and lifts a Safe verdict to the
+    original when the small network's reach set misses the inflated unsafe
+    region, and says Uncertain otherwise: an intersection proves nothing
+    about net_big, so no witness is searched for. time_small_seconds covers
+    the error bound plus that Safe test; seed drives only the direct run.
     """
     t0 = perf_counter()
     bound = bisim_error_upper(net_big, net_small, box, method=method,
                               norm=norm, splits=splits, star_cap=star_cap)
     inflated = inflate_spec(spec, bound.epsilon_upper, norm)
-    raw = verify(net_small, box, inflated, method=method, splits=splits,
-                 star_cap=star_cap, seed=seed)
-    small = Verdict(SAFE) if raw.status == SAFE else Verdict(UNCERTAIN)
+    _check_spec_dim(net_small, inflated)
+    reached = reach(net_small, box, method, splits, star_cap)
+    small = Verdict(SAFE if _clear(reached, inflated) else UNCERTAIN)
     time_small = perf_counter() - t0
 
     verdict_large = None
@@ -208,20 +209,16 @@ CSV_HEADER = "id,epsilon,time_large_s,time_small_s,verdict_large,verdict_small"
 
 
 def report_csv(reports):
-    """CSV serialization of report rows; absent optionals are empty fields."""
-    lines = [CSV_HEADER]
-    for r in reports:
-        t_large = "" if r.time_large_seconds is None else f"{r.time_large_seconds:.5f}"
-        v_large = "" if r.verdict_large is None else r.verdict_large.status
-        lines.append(",".join([
-            r.network_id,
-            repr(float(r.epsilon)),
-            t_large,
-            f"{r.time_small_seconds:.5f}",
-            v_large,
-            r.verdict_small.status,
-        ]))
-    return "\n".join(lines) + "\n"
+    """CSV serialization of report rows, quoted by csv.writer; absent optionals are empty."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADER.split(","))
+    writer.writerows([r.network_id, repr(float(r.epsilon)),
+                      "" if r.time_large_seconds is None else f"{r.time_large_seconds:.5f}",
+                      f"{r.time_small_seconds:.5f}",
+                      "" if r.verdict_large is None else r.verdict_large.status,
+                      r.verdict_small.status] for r in reports)
+    return out.getvalue()
 
 
 def report_table(reports):

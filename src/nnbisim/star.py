@@ -11,7 +11,8 @@ LPs run only where a cheap sound test leaves a question open. Every star
 carries one feasible predicate point, whose image already shows one side
 of a neuron's range, and the predicate box of the input star, which stays
 an outer bound for every descendant (constraints are only ever added) and
-gives closed-form bounds on each output coordinate. This is the
+gives closed-form bounds, by one routine (_image_bounds), on a neuron's
+pre-activation and on each output coordinate alike. This is the
 estimated-bounds idea of NNV's star sets (Tran et al., "Star-Based
 Reachability Analysis of Deep Neural Networks", FM 2019). Star counts and
 suprema are those of running both range LPs at every neuron.
@@ -22,13 +23,14 @@ at once, held as a StarSet of stacked arrays: centres (N, dim), bases
 star k's constraint system, padded to the step's largest row count, and
 once solved its phase-1 start. A step computes the closed-form bounds and
 the point test for every star, then solves all range LPs that are left in
-one lp_max_batch, after phase 1 (per 256 systems) for the systems that
-have no start yet. A split gathers the next step's systems in one
-Starts.take, which copies a start only for the stars that keep their
-system; the two children of a split star get theirs from the next
-phase 1. Stacked products go through np.matmul, whose per-star BLAS call
-is bit for bit the product of one star, so the stars and suprema are
-those of handling each star on its own.
+one lp_max_batch by _lp_ranges (as star_sup_norm and a hand-built input
+star do), after phase 1 (per 256 systems) for the systems without a
+start. A split gathers the next step's systems in one Starts.take, which
+copies a start only for the stars that keep their system; the two
+children of a split star get theirs from the next phase 1. Stacked
+products go through np.matmul, whose per-star BLAS call is bit for bit
+the product of one star, so the stars and suprema are those of handling
+each star on its own.
 
 reach_stars returns the last step's StarSet, which bisim.reach hands out
 for the exact method. It has the members of interval.BoxBatch:
@@ -205,34 +207,46 @@ def box_to_star(box):
     return star
 
 
+def _lp_ranges(st, rows, off, systems, need):
+    """(lower, upper, lo_pt, hi_pt): the range of off[k] + rows[k] . a over
+    the system of star systems[k] and the points that attain its ends, by
+    one lp_max_batch for the ends that need[k] (n, 2) asks for (column 0
+    upper, 1 lower). An end not asked for reads off[k] with the carried
+    point, one whose LP has no optimum +-inf."""
+    lower, upper = off.copy(), off.copy()
+    lo_pt, hi_pt = st.P[systems], st.P[systems]
+    flat = np.flatnonzero(need)
+    if flat.size:
+        who, low = flat // 2, flat % 2 == 1
+        sign = np.where(low, -1.0, 1.0)
+        res = st._lp_max(sign[:, None] * rows[who], systems[who])
+        ext = np.where(res.optimal, off[who] + sign * res.value, sign * np.inf)
+        upper[who[~low]], hi_pt[who[~low]] = ext[~low], res.point[~low]
+        lower[who[low]], lo_pt[who[low]] = ext[low], res.point[low]
+    return lower, upper, lo_pt, hi_pt
+
+
 def _input_stack(star):
     """The input star of reach_stars as a StarSet of one, with a feasible
     point and its predicate box filled in where star has none.
 
-    A missing point costs one LP, which also proves the constraint set
-    feasible; a missing box costs 2p LPs, one per predicate bound. They
-    run as one batch on one phase 1. Raises ValueError for an infeasible
-    star.
+    A missing point costs one LP (of the zero objective), which also
+    proves the constraint set feasible; a missing box costs 2p LPs, one
+    per predicate bound. They run as one batch on one phase 1. Raises
+    ValueError for an infeasible star.
     """
     st = _stack([star])
     p = st.P.shape[1]
-    objectives = []
+    rows = np.vstack([np.zeros((1, p)), np.eye(p)])
+    need = np.array([[star.point is None, False]] + [[star.pred_box is None] * 2] * p)
+    lower, upper, _, hi_pt = _lp_ranges(st, rows, np.zeros(p + 1),
+                                        np.zeros(p + 1, dtype=np.intp), need)
     if star.point is None:
-        objectives.append(np.zeros((1, p)))
-    if star.pred_box is None:
-        objectives += [np.eye(p), -np.eye(p)]
-    if not objectives:
-        return st
-    objectives = np.vstack(objectives)
-    res = st._lp_max(objectives, np.zeros(len(objectives), dtype=np.intp))
-    if star.point is None:
-        if not res.optimal[0]:
+        if upper[0] == np.inf:
             raise ValueError("star constraint set is infeasible")
-        st.P[0] = res.point[0]
+        st.P[0] = hi_pt[0]
     if star.pred_box is None:
-        highs, lows = res.value[-2 * p:-p], res.value[-p:]
-        ok_hi, ok_lo = res.optimal[-2 * p:-p], res.optimal[-p:]
-        st.pred_box = (np.where(ok_lo, -lows, -np.inf)[None], np.where(ok_hi, highs, np.inf)[None])
+        st.pred_box = (lower[None, 1:], upper[None, 1:])
     return st
 
 
@@ -242,43 +256,25 @@ def _ordered(lower, upper):
     return np.where(upper < lower, upper, lower), np.where(upper > lower, upper, lower)
 
 
-def _dots(X, Y):
-    """Row-wise dot products of X (n, p) with Y (n, p), or with one vector
-    Y (p,). Each is a BLAS dot, bit for bit the x @ y of one row."""
-    Y = Y[:, :, None] if Y.ndim == 2 else Y[:, None]
-    return np.matmul(X[:, None, :], Y)[:, 0, 0]
-
-
 def _range_lps(st, open_, rows, off, tol):
     """Range of neuron rows over the open stars, as far as a decision
-    needs it: (lower, upper, point at the upper end, point at the lower
+    needs it: (lower, upper, point at the lower end, point at the upper
     end).
 
     The carried point's image shows one side of the range; only the other
     side needs an LP. Otherwise both run, so that a split always has two
-    feasible branches. A constant row needs none. All LPs run in one
-    lp_max_batch, after phase 1 for the systems without a start.
+    feasible branches. A constant row needs none.
     """
-    P = st.P[open_]
-    v = _dots(rows, P) + off
+    v = np.matmul(rows[:, None, :], st.P[open_][:, :, None])[:, 0, 0] + off
     live = (np.abs(rows) > 0.0).any(axis=1)
     need = np.stack([~(v > tol) & live, ~(v < -tol) & live], axis=1)
-    upper = np.where(v > tol, np.inf, off)
-    lower = np.where(v < -tol, -np.inf, off)
-    hi_pt, lo_pt = P, P.copy()
-    flat = np.flatnonzero(need)
-    if flat.size:
-        who, low = flat // 2, flat % 2 == 1
-        sign = np.where(low, -1.0, 1.0)
-        res = st._lp_max(sign[:, None] * rows[who], open_[who])
-        ext = np.where(res.optimal, off[who] + sign * res.value, sign * np.inf)
-        upper[who[~low]], hi_pt[who[~low]] = ext[~low], res.point[~low]
-        lower[who[low]], lo_pt[who[low]] = ext[low], res.point[low]
-    lower, upper = _ordered(lower, upper)
-    return lower, upper, hi_pt, lo_pt
+    lower, upper, lo_pt, hi_pt = _lp_ranges(st, rows, off, open_, need)
+    upper[v > tol] = np.inf
+    lower[v < -tol] = -np.inf
+    return _ordered(lower, upper) + (lo_pt, hi_pt)
 
 
-def _relu_step(st, i, pred_lo, pred_hi):
+def _relu_step(st, i):
     """Split every star of the set on the sign of ReLU neuron i.
 
     A star whose pre-activation is nonnegative is kept, one whose
@@ -290,16 +286,14 @@ def _relu_step(st, i, pred_lo, pred_hi):
     rows_i = st.V[:, i, :]
     off = st.C[:, i]
     tol = DECIDE_TOL * (1.0 + np.abs(off) + np.abs(rows_i).sum(axis=1))
-    Vp, Vn = np.maximum(rows_i, 0.0), np.minimum(rows_i, 0.0)
-    with np.errstate(invalid="ignore"):
-        lo_bound = off + _dots(Vp, pred_lo) + _dots(Vn, pred_hi)
-        hi_bound = off + _dots(Vp, pred_hi) + _dots(Vn, pred_lo)
+    lo_bound, hi_bound = (b[:, 0] for b in
+                          _image_bounds(off[:, None], rows_i[:, None, :], *st.pred_box))
     keep = lo_bound > tol
     zero = ~keep & (hi_bound < -tol)
     code = zero.astype(np.int8)  # 0 keep, 1 zero row i, 2 split
     open_ = np.flatnonzero(~keep & ~zero)
     if open_.size:
-        lower, upper, hi_pt, lo_pt = _range_lps(st, open_, rows_i[open_], off[open_],
+        lower, upper, lo_pt, hi_pt = _range_lps(st, open_, rows_i[open_], off[open_],
                                                 tol[open_])
         code[open_] = np.where(lower >= 0.0, 0, np.where(upper <= 0.0, 1, 2))
     split = np.flatnonzero(code == 2)
@@ -342,7 +336,6 @@ def reach_stars(net, star, star_cap=DEFAULT_STAR_CAP):
     if star_cap < 1:
         raise ValueError("star_cap must be >= 1")
     st = _input_stack(star)
-    pred_lo, pred_hi = (b[0] for b in st.pred_box)
     for k, lay in enumerate(net.layers):
         with np.errstate(over="ignore", invalid="ignore"):
             st.C = np.matmul(lay.weights, st.C[:, :, None])[:, :, 0] + lay.bias
@@ -351,7 +344,7 @@ def reach_stars(net, star, star_cap=DEFAULT_STAR_CAP):
             raise NumericError(f"star overflowed: non-finite centre or basis "
                                f"after layer {k}")
         for i in np.flatnonzero(lay.relu_mask):
-            st = _relu_step(st, int(i), pred_lo, pred_hi)
+            st = _relu_step(st, int(i))
             if len(st) > star_cap:
                 raise ResourceLimitError(
                     f"star count {len(st)} exceeds cap {star_cap}")
@@ -385,13 +378,10 @@ def star_sup_norm(stars, norm=LINF):
     chosen = np.flatnonzero(~(caps < L - DECIDE_TOL * (1.0 + L)))
     C, V = st.C[chosen], st.V[chosen]
     live = np.flatnonzero((np.abs(V) > 0.0).any(axis=2))  # into C.ravel()
-    sign = np.tile([1.0, -1.0], live.size)
-    who = np.repeat(live, 2)
-    res = st._lp_max(sign[:, None] * V.reshape(-1, V.shape[2])[who],
-                    chosen[who // C.shape[1]])
-    ext = np.where(res.optimal, C.ravel()[who] + sign * res.value, sign * np.inf)
     lower, upper = C.copy(), C.copy()
-    upper.flat[live], lower.flat[live] = ext[0::2], ext[1::2]
+    lower.flat[live], upper.flat[live], _, _ = _lp_ranges(
+        st, V.reshape(-1, V.shape[2])[live], C.ravel()[live], chosen[live // C.shape[1]],
+        np.ones((live.size, 2), dtype=bool))
     # On a sliver star the two LPs can cross by rounding (~1e-17); the
     # ordered pair still contains both answers.
     return sup_norm_box(BoxBatch(*_ordered(lower, upper)), norm)

@@ -325,6 +325,18 @@ def _problem_with(workdir, a="[1.0]", b="0.0"):
     return str(path)
 
 
+def _net_with(workdir, weights="[[1.0]]", bias="[0.0]"):
+    path = workdir / "net.json"
+    path.write_text(f"""{{"input_dim": 1, "layers": [
+        {{"weights": {weights}, "bias": {bias}, "activations": ["identity"]}}
+    ]}}""")
+    return str(path)
+
+
+# An integer literal that no double can hold.
+HUGE = "1" + "0" * 400
+
+
 def _manifest_with(workdir, large):
     path = workdir / "bad_manifest.json"
     path.write_text(json.dumps([{"id": "P", "large": large,
@@ -381,6 +393,20 @@ ERROR_CASES = [
     _case("spec_neg_inf_b", lambda w: ["report", _manifest_with(w, str(w / "big.json")),
                                        _problem_with(w, b="-Infinity")],
           2, "error: unsafe[0][0].b: must be finite"),
+    _case("spec_huge_b", lambda w: ["verify", str(w / "const1.json"), _problem_with(w, b=HUGE)],
+          2, "error: unsafe[0][0].b: integer too large for a double"),
+    _case("spec_huge_a", lambda w: ["verify", str(w / "const1.json"),
+                                    _problem_with(w, a=f"[-{HUGE}]")],
+          2, "error: unsafe[0][0].a: integer too large for a double"),
+    _case("spec_bool_a", lambda w: ["verify", str(w / "const1.json"),
+                                    _problem_with(w, a="[true]")],
+          2, "error: unsafe[0][0].a: expected a numeric array"),
+    _case("net_huge_weight", lambda w: ["verify", _net_with(w, weights=f"[[{HUGE}]]"),
+                                        str(w / "problem.json")],
+          2, "error: layers[0].weights: integer too large for a double"),
+    _case("net_bool_bias", lambda w: ["verify", _net_with(w, bias="[false]"),
+                                      str(w / "problem.json")],
+          2, "error: layers[0].bias: expected a numeric array"),
     _case("inflated_overflow", lambda w: ["report", _far_apart_manifest(w),
                                           _problem_with(w, a="[1e10]"), "--method", "interval"],
           1, "error: inflated unsafe bound overflowed: polytope 0, row 0"),

@@ -265,6 +265,10 @@ class TestNormalization:
         assert eval_normalized(net, meta, [9.0], normalize=False) == pytest.approx([18.5])
 
 
+# An integer literal that no double can hold; test ids name it HUGE.
+HUGE = "1" + "0" * 400
+
+
 class TestJsonNet:
     def test_round_trip_plain(self):
         net = random_network([2, 5, 3], 1.5, seed=4)
@@ -299,6 +303,20 @@ class TestJsonNet:
         ]}}"""
         with pytest.raises(ParseError, match="input_dim.*must be a positive integer"):
             parse_json_net(text)
+
+    @pytest.mark.parametrize("field, weights, bias, message", [
+        ("weights", "[[1.0, HUGE]]", "[0.0]", "integer too large for a double"),
+        ("bias", "[[1.0, 2.0]]", "[-HUGE]", "integer too large for a double"),
+        ("weights", "[[1.0, true]]", "[0.0]", "expected a numeric array"),
+        ("bias", "[[1.0, 2.0]]", "[false]", "expected a numeric array"),
+    ])
+    def test_number_that_is_not_a_double_is_located(self, field, weights, bias, message):
+        text = f"""{{"input_dim": 2, "layers": [
+            {{"weights": {weights}, "bias": {bias}, "activations": ["identity"]}}
+        ]}}""".replace("HUGE", HUGE)
+        with pytest.raises(ParseError) as info:
+            parse_json_net(text)
+        assert str(info.value) == f"layers[0].{field}: {message}"
 
     def test_chaining_violation_reported(self):
         text = """{"input_dim": 2, "layers": [
@@ -382,6 +400,29 @@ class TestParseProblem:
         with pytest.raises(ParseError) as info:
             parse_problem(text)
         assert str(info.value) == f"unsafe[0][1].{field}: must be finite"
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("input.lower", "[-HUGE]", "integer too large for a double"),
+        ("input.upper", "[HUGE]", "integer too large for a double"),
+        ("unsafe[0][0].a", "[HUGE]", "integer too large for a double"),
+        ("unsafe[0][0].b", "HUGE", "integer too large for a double"),
+        ("unsafe[0][0].b", "-HUGE", "integer too large for a double"),
+        ("input.lower", "[true]", "expected a numeric array"),
+        ("input.upper", "[false]", "expected a numeric array"),
+        ("unsafe[0][0].a", "[true]", "expected a numeric array"),
+        ("unsafe[0][0].b", "true", "must be a number"),
+    ])
+    def test_number_that_is_not_a_double_is_located(self, field, value, message):
+        values = {"input.lower": "[-1.0]", "input.upper": "[1.0]",
+                  "unsafe[0][0].a": "[1.0]", "unsafe[0][0].b": "-2.0",
+                  field: value.replace("HUGE", HUGE)}
+        text = f"""{{
+            "input": {{"lower": {values["input.lower"]}, "upper": {values["input.upper"]}}},
+            "unsafe": [[{{"a": {values["unsafe[0][0].a"]}, "b": {values["unsafe[0][0].b"]}}}]]
+        }}"""
+        with pytest.raises(ParseError) as info:
+            parse_problem(text)
+        assert str(info.value) == f"{field}: {message}"
 
     @pytest.mark.parametrize("value", ["true", "false", "2.0"])
     def test_splits_must_be_a_positive_integer(self, value):

@@ -4,12 +4,17 @@ Every run prints its command line, its exit code and its stdout; the
 report's time columns are masked. The whole text must equal
 data/golden/expected_stdout.txt byte for byte, so a change that moves
 any printed epsilon, verdict, witness or exit code fails here.
+
+Regenerate (only for a change that is meant to move this output) with
+
+    PYTHONPATH=src python tests/test_golden_cli.py --write
 """
 
 import contextlib
 import io
 import os
 import re
+import sys
 
 from nnbisim import cli
 
@@ -66,3 +71,8 @@ def test_cli_stdout_matches_golden():
     with open(EXPECTED, encoding="utf-8") as fh:
         expected = fh.read()
     assert render() == expected
+
+
+if __name__ == "__main__" and sys.argv[1:] == ["--write"]:
+    with open(EXPECTED, "w", encoding="utf-8") as fh:
+        fh.write(render())

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,10 +11,10 @@ import nnbisim.star
 from nnbisim import (Box, Layer, LinearSpec, Network, NumericError, ShapeError,
                      Verdict, bisim_error_upper, inflate_spec, lp_feasible,
                      random_network, split_box, verify, verify_via_compressed)
-from nnbisim.safety import (SAFE, SEARCH_SAMPLES, UNCERTAIN, UNSAFE,
+from nnbisim.safety import (CSV_HEADER, SAFE, SEARCH_SAMPLES, UNCERTAIN, UNSAFE,
                             BisimReport, report_csv,
                             report_table)
-from conftest import constant_net, reach_box
+from conftest import constant_net, random_pair, reach_box
 
 
 def halfspace(a, b):
@@ -334,6 +337,29 @@ class TestCompressedPath:
         assert no_large.time_large_seconds is None
         assert no_large.verdict_large is None
 
+    @pytest.mark.parametrize("method", ["interval", "split", "exact"])
+    def test_uncertain_small_verdict_evaluates_no_network(self, monkeypatch, method):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a network was evaluated")
+        monkeypatch.setattr(Network, "forward", refuse)
+        monkeypatch.setattr(Network, "forward_batch", refuse)
+        report = verify_via_compressed(constant_net(1.0), constant_net(0.5), Box([-1.0], [1.0]),
+                                       halfspace([1.0], 0.0), method=method)
+        assert report.verdict_small.status == UNCERTAIN
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10**6), b=st.floats(-3.0, 3.0),
+           method=st.sampled_from(["interval", "split", "exact"]),
+           norm=st.sampled_from(["inf", "l2"]))
+    def test_small_verdict_is_the_safe_test_on_the_inflated_spec(self, seed, b, method, norm):
+        big, small, box = random_pair(seed)
+        a = np.random.default_rng(seed).normal(size=small.output_dim)
+        spec = halfspace(a, b)
+        report = verify_via_compressed(big, small, box, spec, method=method, norm=norm)
+        direct = verify(small, box, inflate_spec(spec, report.epsilon, norm), method=method)
+        assert report.verdict_small.status in (SAFE, UNCERTAIN)
+        assert (report.verdict_small.status == SAFE) == (direct.status == SAFE)
+
 
 class TestReportFormats:
     def _reports(self):
@@ -349,6 +375,12 @@ class TestReportFormats:
         assert lines[0] == "id,epsilon,time_large_s,time_small_s,verdict_large,verdict_small"
         assert lines[1] == "N_11,0.0927,463.24804,0.19383,Safe,Uncertain"
         assert lines[2] == "N_14,0.0041,,0.34665,,Safe"
+
+    def test_csv_id_with_comma_quote_and_newline_is_one_row(self):
+        network_id = 'a,"b"\nc'
+        report = BisimReport(network_id, 0.5, None, 0.25, None, Verdict(SAFE))
+        rows = list(csv.reader(io.StringIO(report_csv([report]))))
+        assert rows == [CSV_HEADER.split(","), [network_id, "0.5", "", "0.25000", "", "Safe"]]
 
     def test_empty_csv(self):
         assert report_csv([]) == (
