@@ -15,8 +15,7 @@ from .formats import (NNetMeta, eval_normalized, parse_json_net, parse_nnet,
 from .interval import BoxBatch, reach_box_split, split_box
 from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, lp_feasible, lp_max
 from .merge import merge
-from .network import (IDENTITY, RELU, Box, Layer, Network, random_network,
-                      validate)
+from .network import IDENTITY, RELU, Box, Layer, Network, random_network
 from .norms import L2, LINF, dual_norm, sup_norm_box
 from .safety import (SAFE, UNCERTAIN, UNSAFE, BisimReport, LinearSpec,
                      Verdict, inflate_spec, report_csv, report_table, verify,

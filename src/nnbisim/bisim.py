@@ -17,9 +17,9 @@ from time import perf_counter
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, ShapeError
 from .interval import reach_box_split
-from .merge import merge
+from .merge import _check_pair, merge
 from .network import _blocks, _workspace
 from .norms import LINF, batch_norms, check_norm
 from .star import DEFAULT_STAR_CAP, box_to_star, reach_stars
@@ -111,13 +111,18 @@ def bisim_error_lower_mc(net_big, net_small, box, samples, seed, norm=LINF,
     buffers allocated once and keeps only the worst norm so far, so
     memory grows with jobs and the widest layer, not with samples, and
     the result does not depend on jobs (bit for bit on one BLAS thread).
-    Raises NumericError when an output difference is not finite.
+    Raises MergePreconditionError when the nets' input or output widths
+    differ, ShapeError for a box of another width, and NumericError when
+    an output difference is not finite.
     """
     check_norm(norm)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
+    _check_pair(net_big, net_small)
+    if len(box) != net_big.input_dim:
+        raise ShapeError(f"box length {len(box)} != input_dim {net_big.input_dim}")
     box.require_finite()
     blocks = _blocks(samples)
     shares = [blocks[t::jobs] for t in range(min(jobs, len(blocks)))]

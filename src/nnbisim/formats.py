@@ -20,7 +20,7 @@ import numpy as np
 
 from .bisim import METHODS
 from .errors import ParseError
-from .network import IDENTITY, RELU, Box, Layer, Network, validate
+from .network import IDENTITY, RELU, Box, Layer, Network
 from .norms import NORMS
 from .safety import LinearSpec
 
@@ -239,8 +239,8 @@ def _positive_int(value, path):
 
 
 def _float_array(value, path, ndim=1):
-    """value as an ndim-dimensional float array; JSON true/false and
-    integers beyond the range of a double are rejected."""
+    """value as an ndim-dimensional float array; JSON true/false, strings
+    and integers beyond the range of a double are rejected."""
     try:
         arr = np.array(value, dtype=float)
     except OverflowError:
@@ -249,7 +249,8 @@ def _float_array(value, path, ndim=1):
         raise ParseError("expected a numeric array", location=path) from None
     if arr.ndim != ndim:
         raise ParseError(f"expected a {ndim}-dimensional numeric array", location=path)
-    if any(bool in map(type, row) for row in (value if ndim == 2 else [value])):
+    if any(not {bool, str}.isdisjoint(map(type, row))
+           for row in (value if ndim == 2 else [value])):
         raise ParseError("expected a numeric array", location=path)
     return arr
 
@@ -280,17 +281,14 @@ def parse_json_net(text):
                 or any(a not in (RELU, IDENTITY) for a in acts)):
             raise ParseError(f"activations must be a list of {RELU!r}/{IDENTITY!r} tags",
                              location=f"{path}.activations")
-        if b.shape[0] != W.shape[0] or len(acts) != W.shape[0]:
-            raise ParseError("bias/activations length != weight rows", location=path)
         try:
             layers.append(Layer(W, b, acts))
         except ValueError as exc:
             raise ParseError(str(exc), location=path) from None
-    net = Network(input_dim, layers)
-    problems = validate(net)
-    if problems:
-        raise ParseError("; ".join(problems), location="layers")
-    return net
+    try:
+        return Network(input_dim, layers)
+    except ValueError as exc:
+        raise ParseError(str(exc), location="layers") from None
 
 
 def write_json_net(net):

@@ -291,27 +291,21 @@ def phase_one_batch(A, d, rows):
     fs, fr = flip.nonzero()
     T[fs, fr, art[flip]] = 1.0
 
+    # Phase 1 maximizes minus the sum of the artificials: the reduced cost
+    # of a column is its sum over the rows with an artificial. A member
+    # without artificials has no eligible column and leaves at once.
+    cost = np.zeros((S, T.shape[2] - 1))
+    cost[:, n_struct:] = -1.0
+    state, errs = _simplex(T, basis, cost, n_struct, rows, n, 1)
     error = np.full(S, None, dtype=object)
+    for k, msg in errs.items():
+        error[k] = msg
+    error[state == _OPEN] = "phase-1 column with no positive entry"
     feasible = np.ones(S, dtype=bool)
-    need = np.flatnonzero(n_art)
-    if need.size:
-        # Phase 1 maximizes minus the sum of the artificials: the reduced
-        # cost of a column is its sum over the rows with an artificial.
-        cost = np.zeros((need.size, T.shape[2] - 1))
-        cost[:, n_struct:] = -1.0
-        if need.size == S:
-            state, errs = _simplex(T, basis, cost, n_struct, rows, n, 1)
-        else:
-            Tn, Bn = T[need], basis[need]
-            state, errs = _simplex(Tn, Bn, cost, n_struct, rows[need], n, 1)
-            T[need], basis[need] = Tn, Bn
-        for k, msg in errs.items():
-            error[need[k]] = msg
-        error[need[state == _OPEN]] = "phase-1 column with no positive entry"
-        for k in need[state == _DONE]:
-            if (basis[k] >= n_struct).any():
-                feasible[k], error[k] = _finish_phase_one(T[k], basis[k], n_struct, n)
-        feasible &= error == None  # noqa: E711 (elementwise)
+    for k in np.flatnonzero(state == _DONE):
+        if (basis[k] >= n_struct).any():
+            feasible[k], error[k] = _finish_phase_one(T[k], basis[k], n_struct, n)
+    feasible &= error == None  # noqa: E711 (elementwise)
     T = np.concatenate([T[:, :, :n_struct], T[:, :, -1:]], axis=2)
     return Starts(A, d, rows, T, basis, feasible, error)
 

@@ -23,6 +23,17 @@ def _block_diag(top_left, bottom_right):
     return W
 
 
+def _check_pair(net_big, net_small):
+    """Raise MergePreconditionError unless the two networks have the same
+    input and output widths, as any comparison of their outputs needs."""
+    if net_big.input_dim != net_small.input_dim:
+        raise MergePreconditionError(
+            f"input dimensions differ: {net_big.input_dim} vs {net_small.input_dim}")
+    if net_big.output_dim != net_small.output_dim:
+        raise MergePreconditionError(
+            f"output dimensions differ: {net_big.output_dim} vs {net_small.output_dim}")
+
+
 def merge(net_big, net_small):
     """Build the difference network of net_big and net_small.
 
@@ -37,13 +48,8 @@ def merge(net_big, net_small):
       - net_big has at least as many affine layers as net_small,
       - net_small has at least 2 affine layers.
     """
+    _check_pair(net_big, net_small)
     L, S = net_big.num_layers, net_small.num_layers
-    if net_big.input_dim != net_small.input_dim:
-        raise MergePreconditionError(
-            f"input dimensions differ: {net_big.input_dim} vs {net_small.input_dim}")
-    if net_big.output_dim != net_small.output_dim:
-        raise MergePreconditionError(
-            f"output dimensions differ: {net_big.output_dim} vs {net_small.output_dim}")
     if L < S:
         raise MergePreconditionError(
             f"layer count ordering violated: big has {L} layers, small has {S}")

@@ -51,6 +51,9 @@ def _freeze(a):
 class Layer:
     """One affine layer: y = act(W x + b), activation applied per neuron.
 
+    Raises ShapeError unless weights is a matrix, bias has one entry per
+    row and there is one activation tag per row.
+
     Attributes:
         weights (ndarray): shape (rows, cols)
         bias (ndarray): shape (rows,)
@@ -61,9 +64,15 @@ class Layer:
     def __init__(self, weights, bias, activations):
         self.weights = _freeze(np.atleast_2d(weights))
         self.bias = _freeze(np.atleast_1d(bias))
+        acts = tuple(activations)
+        if self.weights.ndim != 2:
+            raise ShapeError(f"layer weights have {self.weights.ndim} dimensions, expected 2")
+        if self.bias.shape != (self.rows,):
+            raise ShapeError(f"layer bias has shape {self.bias.shape}, expected ({self.rows},)")
+        if len(acts) != self.rows:
+            raise ShapeError(f"layer has {len(acts)} activation tags for {self.rows} rows")
         _require_finite(self.weights, "layer weights")
         _require_finite(self.bias, "layer bias")
-        acts = tuple(activations)
         for a in acts:
             if a not in (RELU, IDENTITY):
                 raise ValueError(f"unknown activation tag {a!r}")
@@ -118,6 +127,13 @@ class Network:
     def __init__(self, input_dim, layers):
         self.input_dim = int(input_dim)
         self.layers = tuple(layers)
+        if self.input_dim < 1:
+            raise ValueError("input_dim must be positive")
+        if not self.layers:
+            raise ValueError("network must have at least one layer")
+        for k, (lay, prev) in enumerate(zip(self.layers, self.layer_sizes())):
+            if lay.cols != prev:
+                raise ShapeError(f"layer {k}: weight cols {lay.cols} != preceding width {prev}")
 
     @property
     def output_dim(self):
@@ -219,32 +235,6 @@ class Box:
 
     def __repr__(self):
         return f"Box({self.lower.tolist()}, {self.upper.tolist()})"
-
-
-def validate(net):
-    """Check Network invariants; returns a list of violation strings.
-
-    Empty list means the network is well-formed.
-    """
-    violations = []
-    if net.input_dim < 1:
-        violations.append("input_dim must be positive")
-    if len(net.layers) < 1:
-        violations.append("network must have at least one layer")
-        return violations
-    prev = net.input_dim
-    for k, lay in enumerate(net.layers):
-        if lay.cols != prev:
-            violations.append(
-                f"layer {k}: weight cols {lay.cols} != preceding width {prev}")
-        if lay.bias.shape[0] != lay.rows:
-            violations.append(
-                f"layer {k}: bias length {lay.bias.shape[0]} != rows {lay.rows}")
-        if len(lay.activations) != lay.rows:
-            violations.append(
-                f"layer {k}: {len(lay.activations)} activation tags != rows {lay.rows}")
-        prev = lay.rows
-    return violations
 
 
 def random_network(layer_sizes, weight_range, seed):

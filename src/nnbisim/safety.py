@@ -13,9 +13,9 @@ network then lifts to the original, while anything else stays Uncertain.
 """
 
 import csv
-import io
 from dataclasses import dataclass
 from time import perf_counter
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -209,16 +209,19 @@ CSV_HEADER = "id,epsilon,time_large_s,time_small_s,verdict_large,verdict_small"
 
 
 def report_csv(reports):
-    """CSV serialization of report rows, quoted by csv.writer; absent optionals are empty."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
+    """CSV serialization of report rows, quoted by csv.writer; absent
+    optionals are empty. The writer hands each row to one write call,
+    ended in CR LF so that it quotes a field holding a bare CR as well as
+    LF; the rows are then ended in LF alone."""
+    rows = []
+    writer = csv.writer(SimpleNamespace(write=rows.append), lineterminator="\r\n")
     writer.writerow(CSV_HEADER.split(","))
     writer.writerows([r.network_id, repr(float(r.epsilon)),
                       "" if r.time_large_seconds is None else f"{r.time_large_seconds:.5f}",
                       f"{r.time_small_seconds:.5f}",
                       "" if r.verdict_large is None else r.verdict_large.status,
                       r.verdict_small.status] for r in reports)
-    return out.getvalue()
+    return "".join(row.removesuffix("\r\n") + "\n" for row in rows)
 
 
 def report_table(reports):

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nnbisim import (Box, LinearSpec, Layer, MergePreconditionError, Network,
-                     NumericError, bisim_error_lower_mc, bisim_error_upper,
-                     random_network, verify)
+                     NumericError, ShapeError, bisim_error_lower_mc,
+                     bisim_error_upper, random_network, verify)
 from nnbisim.bisim import ErrorBound
 from nnbisim.network import _BLOCK_ROWS, _blocks
 from nnbisim.norms import batch_norms
@@ -240,6 +240,23 @@ class TestLowerBound:
         big, small, box = random_pair(18)
         with pytest.raises(ValueError):
             bisim_error_lower_mc(big, small, box, 0, seed=0)
+
+    @pytest.mark.parametrize("small_sizes, lower, error, message", [
+        ([2, 3, 1], [-1, -1], MergePreconditionError, "output dimensions differ: 3 vs 1"),
+        ([3, 3, 3], [-1, -1], MergePreconditionError, "input dimensions differ: 2 vs 3"),
+        ([2, 3, 3], [-1, -1, -1], ShapeError, "box length 3 != input_dim 2"),
+    ])
+    def test_pair_and_box_checked_before_sampling(self, monkeypatch, small_sizes, lower,
+                                                  error, message):
+        def sample(*args):
+            raise AssertionError("sampled before the checks")
+
+        monkeypatch.setattr(Box, "sample", sample)
+        big = random_network([2, 3, 3], 1.0, seed=1)
+        small = random_network(small_sizes, 1.0, seed=2)
+        box = Box(lower, [1] * len(lower))
+        with pytest.raises(error, match=f"^{message}$"):
+            bisim_error_lower_mc(big, small, box, samples=1000, seed=0)
 
 
 class TestErrorBound:

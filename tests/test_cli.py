@@ -170,7 +170,7 @@ class TestNonFiniteInput:
     def test_nan_box_bound_rejected(self, workdir):
         prob = workdir / "nanbox.json"
         prob.write_text("""{
-            "input": {"lower": ["NaN"], "upper": [1.0]},
+            "input": {"lower": [NaN], "upper": [1.0]},
             "unsafe": [[{"a": [1.0], "b": 0.0}]]
         }""")
         res = run_cli("verify", str(workdir / "const1.json"), str(prob))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nnbisim import (IDENTITY, RELU, Layer, MergePreconditionError, Network,
-                     UnsupportedShapeError, merge, random_network, validate)
+                     UnsupportedShapeError, merge, random_network)
 from conftest import constant_net, random_pair
 
 
@@ -19,7 +19,6 @@ class TestStructure:
         small = random_network([2, 2, 1], 1.0, seed=2)     # S = 2
         merged = merge(big, small)
         assert merged.layer_sizes() == [2, 5, 5, 2, 1]
-        assert validate(merged) == []
         # layer 2 is the pass-through case: top-left is big's second layer,
         # bottom-right the identity, off-diagonals zero
         W = merged.layers[1].weights
@@ -132,7 +131,6 @@ class TestMergeProperty:
     def test_merged_output_is_difference(self, pair):
         big, small, X = pair
         merged = merge(big, small)
-        assert validate(merged) == []
         assert merged.num_layers == big.num_layers + 1
         batch = merged.forward_batch(X)
         for x, y in zip(X, batch):

@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from nnbisim import (Box, Layer, Network, ShapeError, merge, random_network,
-                     validate)
+from nnbisim import (Box, Layer, Network, ShapeError, bisim_error_upper, merge,
+                     random_network)
 from nnbisim.network import _BLOCK_ROWS
 from conftest import run_one_blas_thread, two_layer_vee, whole_batch
 
@@ -74,23 +74,45 @@ class TestForward:
                 checked += 1
 
 
-class TestValidate:
+class TestConstruction:
     def test_well_formed(self):
-        net = random_network([2, 3, 1], 1.0, seed=1)
-        assert validate(net) == []
+        net = Network(2, [Layer.relu(np.zeros((3, 2)), np.zeros(3)),
+                          Layer.linear(np.zeros((1, 3)), np.zeros(1))])
+        assert net.layer_sizes() == [2, 3, 1]
 
     def test_chaining_violation(self):
-        net = Network(2, [Layer.relu(np.zeros((3, 2)), np.zeros(3)),
-                          Layer.linear(np.zeros((1, 4)), np.zeros(1))])
-        problems = validate(net)
-        assert len(problems) == 1
-        assert "layer 1" in problems[0]
+        with pytest.raises(ShapeError, match=r"^layer 1: weight cols 4 != preceding width 3$"):
+            Network(2, [Layer.relu(np.zeros((3, 2)), np.zeros(3)),
+                        Layer.linear(np.zeros((1, 4)), np.zeros(1))])
 
     def test_bias_shape_violation(self):
-        net = Network(2, [Layer(np.zeros((3, 2)), np.zeros(2), ("relu",) * 3)])
-        problems = validate(net)
-        assert len(problems) == 1
-        assert "layer 0" in problems[0] and "bias" in problems[0]
+        for bias in (np.zeros(1), np.zeros(2), np.zeros((3, 1))):
+            with pytest.raises(ShapeError, match=r"^layer bias has shape .*, expected \(3,\)$"):
+                Layer(np.zeros((3, 2)), bias, ("relu",) * 3)
+
+    def test_weights_must_be_a_matrix(self):
+        with pytest.raises(ShapeError, match=r"^layer weights have 3 dimensions, expected 2$"):
+            Layer(np.zeros((2, 2, 2)), np.zeros(2), ("relu",) * 2)
+
+    @pytest.mark.parametrize("tags", [2, 4])
+    def test_tag_count_violation(self, tags):
+        with pytest.raises(ShapeError, match=f"^layer has {tags} activation tags for 3 rows$"):
+            Layer(np.zeros((3, 2)), np.zeros(3), ("relu",) * tags)
+
+    def test_no_layers(self):
+        with pytest.raises(ValueError, match="network must have at least one layer"):
+            Network(2, [])
+
+    def test_input_dim_zero(self):
+        with pytest.raises(ValueError, match="input_dim must be positive"):
+            Network(0, [Layer.linear(np.zeros((1, 0)), np.zeros(1))])
+
+    def test_short_tag_layer_cannot_reach_the_bound(self):
+        good = random_network([2, 3, 1], 1.0, seed=1)
+        with pytest.raises(ShapeError, match="2 activation tags for 3 rows"):
+            big = Network(2, [Layer(np.ones((3, 2)), np.zeros(3), ("relu",) * 2),
+                              good.layers[1]])
+            bisim_error_upper(big, good, Box([-1, -1], [1, 1]), method="interval")
 
 
 class TestRandomNetwork:

@@ -382,6 +382,11 @@ class TestReportFormats:
         rows = list(csv.reader(io.StringIO(report_csv([report]))))
         assert rows == [CSV_HEADER.split(","), [network_id, "0.5", "", "0.25000", "", "Safe"]]
 
+    def test_csv_id_with_carriage_return_is_one_row(self):
+        report = BisimReport("x\ry", 0.5, None, 0.25, None, Verdict(SAFE))
+        rows = list(csv.reader(io.StringIO(report_csv([report]))))
+        assert rows == [CSV_HEADER.split(","), ["x\ry", "0.5", "", "0.25000", "", "Safe"]]
+
     def test_empty_csv(self):
         assert report_csv([]) == (
             "id,epsilon,time_large_s,time_small_s,verdict_large,verdict_small\n")
