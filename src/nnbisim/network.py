@@ -203,6 +203,9 @@ class Box:
     def __init__(self, lower, upper):
         self.lower = _freeze(np.atleast_1d(lower))
         self.upper = _freeze(np.atleast_1d(upper))
+        if self.lower.ndim != 1 or self.upper.ndim != 1:
+            raise ShapeError(f"box bounds must be 1-D, got {self.lower.ndim}-D and "
+                             f"{self.upper.ndim}-D")
         if self.lower.shape != self.upper.shape:
             raise ShapeError("box bounds have different lengths")
         # Infinite bounds are allowed: unbounded LP ranges produce them.

@@ -9,13 +9,16 @@ concrete input of the original set.
 
 LPs run only where a cheap sound test leaves a question open. Every star
 carries one feasible predicate point, whose image already shows one side
-of a neuron's range, and the predicate box of the input star, which stays
-an outer bound for every descendant (constraints are only ever added) and
-gives closed-form bounds, by one routine (_image_bounds), on a neuron's
-pre-activation and on each output coordinate alike. This is the
+of a neuron's range, and its own predicate box, an outer bound of its
+predicate polytope that gives closed-form bounds, by one routine
+(_image_bounds), on a neuron's pre-activation and on each output
+coordinate alike. A split child starts from its parent's box, tightened
+by its one cut row in one bound-propagation pass (_cut_box). This is the
 estimated-bounds idea of NNV's star sets (Tran et al., "Star-Based
-Reachability Analysis of Deep Neural Networks", FM 2019). Star counts and
-suprema are those of running both range LPs at every neuron.
+Reachability Analysis of Deep Neural Networks", FM 2019). A closed-form
+bound decides only where it clears zero by DECIDE_TOL, where the LPs
+would decide the same, so star counts and suprema are those of running
+both range LPs at every neuron.
 
 reach_stars works one (layer, ReLU neuron) step at a time on all stars
 at once, held as a StarSet of stacked arrays: centres (N, dim), bases
@@ -96,8 +99,7 @@ class StarSet(Sequence):
     (N, M), rows (N,); rows past rows[k] read 0.a <= 1) and, where has[k]
     holds, that system's phase-1 start. pred_box is a (lower, upper) pair
     of (N, p) arrays bounding each star's predicate polytope (rows of -inf
-    and inf where unknown), or of (1, p) arrays when the stars share one,
-    as the stars of reach_stars share the input star's.
+    and inf where unknown).
 
     Indexing builds the i-th Star. lower and upper are the closed-form
     (N, dim) outer bounds, computed on first use; infinite predicate
@@ -123,7 +125,7 @@ class StarSet(Sequence):
         star = Star(self.C[i], self.V[i], s.A[i, :m], s.d[i, :m])
         if not np.isnan(self.P[i]).any():
             star.point = self.P[i]
-        star.pred_box = tuple(np.broadcast_to(b, self.P.shape)[i] for b in self.pred_box)
+        star.pred_box = tuple(b[i] for b in self.pred_box)
         return star
 
     @cached_property
@@ -183,7 +185,7 @@ def _stack(stars):
 
 def _image_bounds(C, V, lo, hi):
     """Bounds of C + V a over lo <= a <= hi for stacked C (N, dim), V (N,
-    dim, p) and lo, hi (N or 1, p), each product the one of its star."""
+    dim, p) and lo, hi (N, p), each product the one of its star."""
     Vp, Vn = np.maximum(V, 0.0), np.minimum(V, 0.0)
     lo, hi = lo[:, :, None], hi[:, :, None]
     with np.errstate(invalid="ignore"):
@@ -274,14 +276,45 @@ def _range_lps(st, open_, rows, off, tol):
     return _ordered(lower, upper) + (lo_pt, hi_pt)
 
 
+def _cut_box(lo, hi, r, e, point):
+    """The boxes lo <= a <= hi (n, p) tightened by one cut r[k] . a <= e[k]
+    each, in one bound-propagation pass:
+
+        a_j <= (e - sum_{k != j} min(r_k lo_k, r_k hi_k)) / r_j   (r_j > 0)
+
+    and the mirror lower bound where r_j < 0. A zero r_j leaves a_j as it
+    is, and a bound with an infinite term (a_k unbounded on the side that
+    matters, k != j) is not tightened. Each new bound is widened outward by
+    a bound on its rounding error, and the box is stretched to hold point
+    (a nan entry is ignored), so that the result is an outer bound of the
+    cut polytope that contains the point.
+    """
+    live = r != 0.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        m = np.where(live, np.minimum(r * lo, r * hi), 0.0)
+    infinite = ~np.isfinite(m)  # a term of -inf
+    m[infinite] = 0.0
+    others = infinite.sum(axis=1, keepdims=True) - infinite
+    rest = np.where(others > 0, -np.inf, m.sum(axis=1, keepdims=True) - m)
+    scale = np.abs(e)[:, None] + np.abs(m).sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        bound = (e[:, None] - rest) / r
+        slack = (r.shape[1] + 4) * np.finfo(float).eps * scale / np.abs(r)
+        up, down = bound + slack, bound - slack
+    hi = np.where((r > 0.0) & np.isfinite(up), np.minimum(hi, up), hi)
+    lo = np.where((r < 0.0) & np.isfinite(down), np.maximum(lo, down), lo)
+    return np.fmin(lo, point), np.fmax(hi, point)
+
+
 def _relu_step(st, i):
     """Split every star of the set on the sign of ReLU neuron i.
 
     A star whose pre-activation is nonnegative is kept, one whose
     pre-activation is nonpositive gets output row i zeroed, and one that
     straddles zero becomes two stars in its place: the nonnegative side
-    (kept) and the nonpositive side (zeroed), each cut by one constraint
-    and given a point on its own side. Boundary overlap is measure-zero.
+    (kept) and the nonpositive side (zeroed), each cut by one constraint,
+    given a point on its own side and its parent's predicate box tightened
+    by the cut. Boundary overlap is measure-zero.
     """
     rows_i = st.V[:, i, :]
     off = st.C[:, i]
@@ -316,12 +349,16 @@ def _relu_step(st, i):
     starts.rows[pos] += 1
     starts.rows[neg] += 1
     C, V, P = st.C[src], st.V[src], st.P[src]
+    lo, hi = (b[src] for b in st.pred_box)
     at_open = np.searchsorted(open_, split)
     P[pos], P[neg] = hi_pt[at_open], lo_pt[at_open]
+    cut, row = np.concatenate([pos, neg]), np.tile(at, 2)
+    lo[cut], hi[cut] = _cut_box(lo[cut], hi[cut], starts.A[cut, row], starts.d[cut, row],
+                                P[cut])
     z = np.concatenate([first[code == 1], neg])
     C[z, i] = 0.0
     V[z, i, :] = 0.0
-    return StarSet(C, V, P, starts, has, st.pred_box)
+    return StarSet(C, V, P, starts, has, (lo, hi))
 
 
 def reach_stars(net, star, star_cap=DEFAULT_STAR_CAP):
@@ -361,11 +398,12 @@ def star_sup_norm(stars, norm=LINF):
 
     The largest norm at the stars' carried points, L, is a lower bound
     that needs no LP. Every star whose closed-form bound can reach L is
-    solved: both ends of each output coordinate that is not constant, all
-    in one lp_max_batch, after phase 1 for the systems without a start.
-    The star that attains the supremum is among them and none exceeds
-    it, so the result is that of solving every star. A NaN anywhere
-    propagates to the result.
+    solved, all in one lp_max_batch, after phase 1 for the systems without
+    a start: for the euclidean norm both ends of each output coordinate
+    that is not constant, for the max norm only the ends whose own
+    closed-form magnitude can reach L. The star and end that attain the
+    supremum are among them and none exceeds it, so the result is that of
+    solving every star. A NaN anywhere propagates to the result.
     """
     if not stars:
         raise ValueError("empty star list")
@@ -374,14 +412,22 @@ def star_sup_norm(stars, norm=LINF):
     has = ~np.isnan(st.P).any(axis=1)
     at_points = st.C[has] + np.matmul(st.V[has], st.P[has][:, :, None])[:, :, 0]
     L = batch_norms(at_points, norm).max(initial=0.0)
-    # The negation keeps a NaN cap chosen.
-    chosen = np.flatnonzero(~(caps < L - DECIDE_TOL * (1.0 + L)))
+    target = L - DECIDE_TOL * (1.0 + L)
+    # The negations keep a NaN cap or bound chosen.
+    chosen = np.flatnonzero(~(caps < target))
     C, V = st.C[chosen], st.V[chosen]
     live = np.flatnonzero((np.abs(V) > 0.0).any(axis=2))  # into C.ravel()
+    need = np.ones((live.size, 2), dtype=bool)
+    if norm == LINF:
+        need[:, 0] = ~(st.upper[chosen].ravel()[live] < target)
+        need[:, 1] = ~(-st.lower[chosen].ravel()[live] < target)
     lower, upper = C.copy(), C.copy()
-    lower.flat[live], upper.flat[live], _, _ = _lp_ranges(
-        st, V.reshape(-1, V.shape[2])[live], C.ravel()[live], chosen[live // C.shape[1]],
-        np.ones((live.size, 2), dtype=bool))
+    lo, hi, _, _ = _lp_ranges(st, V.reshape(-1, V.shape[2])[live], C.ravel()[live],
+                              chosen[live // C.shape[1]], need)
+    # An end not asked for cannot hold the supremum. It reads 0.0, not the
+    # centre that _lp_ranges leaves there: that can lie outside the star.
+    lower.flat[live] = np.where(need[:, 1], lo, 0.0)
+    upper.flat[live] = np.where(need[:, 0], hi, 0.0)
     # On a sliver star the two LPs can cross by rounding (~1e-17); the
     # ordered pair still contains both answers.
     return sup_norm_box(BoxBatch(*_ordered(lower, upper)), norm)

@@ -152,6 +152,15 @@ class TestBox:
         with pytest.raises(ShapeError):
             Box([0.0, 1.0], [1.0])
 
+    @pytest.mark.parametrize("lower, upper", [
+        ([[-1.0, -1.0]], [[1.0, 1.0]]),          # one row: len would read 1
+        ([[-1.0], [-1.0]], [[1.0], [1.0]]),      # one column: sampling failed to broadcast
+        ([-1.0, -1.0], [[1.0, 1.0]]),
+    ])
+    def test_bounds_must_be_one_dimensional(self, lower, upper):
+        with pytest.raises(ShapeError, match="^box bounds must be 1-D"):
+            Box(lower, upper)
+
     def test_contains_and_center(self):
         box = Box([-1.0, 0.0], [1.0, 4.0])
         assert np.allclose(box.center(), [0.0, 2.0])

@@ -11,7 +11,7 @@ from nnbisim import (IDENTITY, RELU, Box, Layer, LinearSpec,
                      Network, ResourceLimitError, Star, Verdict, bisim_error_upper,
                      box_to_star, lp_feasible, lp_max, merge, random_network,
                      reach_stars, star_sup_norm, sup_norm_box, verify)
-from nnbisim.lp import LPBatch, lp_max_batch
+from nnbisim.lp import FEAS_TOL, LPBatch, lp_max_batch
 from nnbisim.safety import SAFE, SEARCH_SAMPLES, UNCERTAIN, UNSAFE
 from conftest import constant_net, reach_box, star_contains, union_contains
 
@@ -154,6 +154,53 @@ class TestReachStars:
                 bb = bounding_box(s)
                 assert np.all(bb.lower >= ib.lower - 1e-8)
                 assert np.all(bb.upper <= ib.upper + 1e-8)
+
+
+class TestPredicateBoxes:
+    """Each star's predicate box is an outer bound of its predicate
+    polytope, tightened by the cuts that made it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_boxes_bound_every_star(self, data):
+        net, box = data.draw(net_and_box())
+        star = data.draw(input_star(box))
+        in_lo, in_hi = nnbisim.star._input_stack(star).pred_box
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        pts = rng.uniform(in_lo, in_hi, (400, in_lo.shape[1]))
+        for s in reach_stars(net, star):
+            lo, hi = s.pred_box
+            assert np.all(lo <= s.point) and np.all(s.point <= hi)
+            # The boxes hold the carried points, which LPs find feasible
+            # to within FEAS_TOL.
+            assert np.all(in_lo[0] - FEAS_TOL <= lo) and np.all(hi <= in_hi[0] + FEAS_TOL)
+            inside = pts[np.all(pts @ s.constr_mat.T <= s.constr_rhs, axis=1)]
+            assert np.all(lo <= inside) and np.all(inside <= hi)
+            for j, e in enumerate(np.eye(len(lo))):
+                low, high = reference_range(0.0, e, s.constr_mat, s.constr_rhs)
+                assert lo[j] - FEAS_TOL <= low and high <= hi[j] + FEAS_TOL
+
+    def test_split_children_divide_the_cut_coordinate(self):
+        # relu(a_0 - 0.5) over [-1, 1]^2 cuts predicate coordinate 0 at 0.5.
+        net = Network(2, [Layer.relu([[1.0, 0.0]], [-0.5])])
+        kept, zeroed = reach_stars(net, box_to_star(Box([-1.0, -1.0], [1.0, 1.0])))
+        assert kept.pred_box[0][0] == pytest.approx(0.5, abs=1e-12)
+        assert kept.pred_box[1][0] == 1.0
+        assert zeroed.pred_box[0][0] == -1.0
+        assert zeroed.pred_box[1][0] == pytest.approx(0.5, abs=1e-12)
+        for s in (kept, zeroed):
+            assert s.pred_box[0][1] == -1.0 and s.pred_box[1][1] == 1.0
+
+    def test_cut_bounds_an_unbounded_coordinate(self):
+        # {|a_0| <= 1, a_1 <= 1}: a_1 has no lower bound until relu(a_1 + 0.5)
+        # cuts it at -0.5 on the kept side.
+        star = Star([0.0, 0.0], np.eye(2), [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]],
+                    [1.0, 1.0, 1.0])
+        net = Network(2, [Layer.relu([[0.0, 1.0]], [0.5])])
+        kept, zeroed = reach_stars(net, star)
+        assert kept.pred_box[0][1] == pytest.approx(-0.5, abs=1e-12)
+        assert zeroed.pred_box[0][1] == -np.inf
+        assert zeroed.pred_box[1][1] == pytest.approx(-0.5, abs=1e-12)
 
 
 class TestSupNorm:
@@ -446,8 +493,11 @@ class TestPrunedMatchesReference:
         monkeypatch.setattr(nnbisim.star, "lp_max_batch", counted_lp)
         monkeypatch.setattr(nnbisim.star, "phase_one_batch", counted_phase_one)
         bound = bisim_error_upper(big, small, box, method="exact")
-        # Sharing phase 1 changes no LP: the same 774 calls on 201 systems.
-        assert len(calls) == 774
+        # Sharing phase 1 changes no LP: 289 calls on 165 systems. Each
+        # star's own predicate box, tightened by its cuts, settles most
+        # ReLU decisions in closed form, and the max norm solves only the
+        # output ends that can reach the lower bound.
+        assert len(calls) == 289
         assert 0 < len(runs) <= len(systems)
         assert bound.epsilon_upper == ref
 
