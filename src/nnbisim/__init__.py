@@ -10,8 +10,8 @@ from .bisim import ErrorBound, bisim_error_lower_mc, bisim_error_upper, reach
 from .errors import (DegenerateLPError, MergePreconditionError, NumericError,
                      ParseError, ResourceLimitError, ShapeError,
                      UnsupportedShapeError)
-from .formats import (NNetMeta, eval_normalized, parse_json_net, parse_nnet,
-                      parse_problem, write_json_net, write_nnet)
+from .formats import (NNetMeta, parse_json_net, parse_nnet, parse_problem,
+                      write_json_net, write_nnet)
 from .interval import BoxBatch, reach_box_split, split_box
 from .lp import INFEASIBLE, OPTIMAL, UNBOUNDED, LPResult, lp_feasible, lp_max
 from .merge import merge

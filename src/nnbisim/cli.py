@@ -12,6 +12,7 @@ diagnostics to stderr. Exit codes are a stable contract:
 """
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -165,12 +166,17 @@ def cmd_report(args):
     for pair_id, large_path, small_path in pairs:
         net_big = _load_network(large_path)
         net_small = _load_network(small_path)
-        reports.append(verify_via_compressed(
+        report = verify_via_compressed(
             net_big, net_small, box, spec, method=method, splits=splits,
-            norm=norm, star_cap=args.star_cap, seed=args.seed,
-            network_id=pair_id, also_large=args.also_large,
-            large_method=args.large_method,
-            large_splits=args.large_splits))
+            norm=norm, star_cap=args.star_cap, network_id=pair_id)
+        if args.also_large:
+            t0 = perf_counter()
+            verdict = verify(net_big, box, spec, method=args.large_method or method,
+                             splits=splits if args.large_splits is None else args.large_splits,
+                             star_cap=args.star_cap, seed=args.seed)
+            report = dataclasses.replace(report, verdict_large=verdict,
+                                         time_large_seconds=perf_counter() - t0)
+        reports.append(report)
     csv_text = report_csv(reports)
     if args.csv == "-":
         sys.stdout.write(csv_text)

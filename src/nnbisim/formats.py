@@ -27,7 +27,11 @@ from .safety import LinearSpec
 
 @dataclass
 class NNetMeta:
-    """NNet normalization block: per-input ranges plus one output entry."""
+    """NNet normalization block: per-input ranges plus one output entry.
+
+    It is parsed, checked and written back, but not applied: every
+    analysis runs the stored weights on raw inputs.
+    """
 
     input_mins: np.ndarray
     input_maxes: np.ndarray
@@ -54,20 +58,6 @@ class NNetMeta:
         """No-op normalization for generated networks."""
         return cls(np.full(input_dim, -np.inf), np.full(input_dim, np.inf),
                    np.zeros(input_dim + 1), np.ones(input_dim + 1))
-
-
-def eval_normalized(net, meta, x, normalize=True):
-    """Evaluate with the NNet normalization convention.
-
-    With normalization on, inputs are clamped to [mins, maxes] and scaled
-    by means/ranges, and the output is de-normalized by the last entry.
-    With it off this is a raw forward pass.
-    """
-    x = np.asarray(x, dtype=float)
-    if not normalize:
-        return net.forward(x)
-    xn = (np.clip(x, meta.input_mins, meta.input_maxes) - meta.means[:-1]) / meta.ranges[:-1]
-    return net.forward(xn) * meta.ranges[-1] + meta.means[-1]
 
 
 # What a line's end may carry past its last value: commas and whitespace

@@ -52,10 +52,6 @@ class LinearSpec:
                 raise ValueError(f"unsafe polytope {j}, row {bad[0]}: constraint must be finite")
             self.unsafe_polytopes.append((A, d))
 
-    @property
-    def output_dim(self):
-        return self.unsafe_polytopes[0][0].shape[1] if self.unsafe_polytopes else None
-
     def holds_at(self, y):
         """True when y lies in the unsafe region (exact comparisons)."""
         y = np.asarray(y, dtype=float)
@@ -76,7 +72,12 @@ class Verdict:
 
 @dataclass
 class BisimReport:
-    """One row of a verification report (table-style)."""
+    """One row of a verification report (table-style).
+
+    verify_via_compressed fills the small side; the large columns stay
+    None unless a caller times verify on the large network and sets them
+    with dataclasses.replace, which runs these checks again.
+    """
 
     network_id: str
     epsilon: float
@@ -170,39 +171,28 @@ def inflate_spec(spec, eps, norm=LINF):
 def verify_via_compressed(net_big, net_small, box, spec,
                           method=DEFAULT_COMPRESSED_METHOD,
                           splits=None, norm=LINF, star_cap=DEFAULT_STAR_CAP,
-                          seed=DEFAULT_SEED, network_id="pair",
-                          also_large=False, large_method=None,
-                          large_splits=None):
+                          network_id="pair"):
     """Verify net_big through its compressed stand-in net_small.
 
     Computes the certified error bound and lifts a Safe verdict to the
     original when the small network's reach set misses the inflated unsafe
     region, and says Uncertain otherwise: an intersection proves nothing
     about net_big, so no witness is searched for. time_small_seconds covers
-    the error bound plus that Safe test; seed drives only the direct run.
+    the error bound plus that Safe test. A spec of another width than
+    net_small's output is a ShapeError before any work. The report's large
+    columns are None; verify runs net_big directly.
     """
+    _check_spec_dim(net_small, spec)
     t0 = perf_counter()
     bound = bisim_error_upper(net_big, net_small, box, method=method,
                               norm=norm, splits=splits, star_cap=star_cap)
     inflated = inflate_spec(spec, bound.epsilon_upper, norm)
-    _check_spec_dim(net_small, inflated)
     reached = reach(net_small, box, method, splits, star_cap)
     small = Verdict(SAFE if _clear(reached, inflated) else UNCERTAIN)
-    time_small = perf_counter() - t0
-
-    verdict_large = None
-    time_large = None
-    if also_large:
-        t1 = perf_counter()
-        verdict_large = verify(net_big, box, spec,
-                               method=large_method or method,
-                               splits=large_splits if large_splits is not None else splits,
-                               star_cap=star_cap, seed=seed)
-        time_large = perf_counter() - t1
     return BisimReport(network_id=network_id, epsilon=bound.epsilon_upper,
-                       time_large_seconds=time_large,
-                       time_small_seconds=time_small,
-                       verdict_large=verdict_large, verdict_small=small)
+                       time_large_seconds=None,
+                       time_small_seconds=perf_counter() - t0,
+                       verdict_large=None, verdict_small=small)
 
 
 CSV_HEADER = "id,epsilon,time_large_s,time_small_s,verdict_large,verdict_small"

@@ -167,8 +167,13 @@ class StarSet(Sequence):
 
 def _stack(stars):
     """A list of Stars as a StarSet with no phase-1 starts yet; the
-    constraint systems are padded to the largest row count."""
-    N, p = len(stars), stars[0].basis.shape[1]
+    constraint systems are padded to the largest row count. Stars of
+    other output or predicate widths than the first are a ShapeError."""
+    N, (dim, p) = len(stars), stars[0].basis.shape
+    for k, s in enumerate(stars):
+        if s.basis.shape != (dim, p):
+            raise ShapeError(f"star {k} has output width {s.dim} and predicate width "
+                             f"{s.basis.shape[1]}, star 0 has {dim} and {p}")
     starts = Starts.empty(N, max(len(s.constr_rhs) for s in stars), p)
     P = np.full((N, p), np.nan)
     lo, hi = np.full((N, p), -np.inf), np.full((N, p), np.inf)

@@ -4,10 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nnbisim import formats
-from nnbisim import (Box, Layer, Network, NNetMeta, ParseError, ShapeError, eval_normalized,
+from nnbisim import (Box, Layer, Network, NNetMeta, ParseError, ShapeError,
                      merge, parse_json_net, parse_nnet, parse_problem,
-                     random_network, verify, write_json_net,
-                     write_nnet)
+                     random_network, verify, write_json_net, write_nnet)
 
 MINIMAL_NNET = """\
 // tiny test network
@@ -242,26 +241,6 @@ class TestWriteNNet:
         net = random_network([2, 3, 1], 1.0, seed=1)
         with pytest.raises(ValueError):
             write_nnet(net, NNetMeta.identity(3))
-
-
-class TestNormalization:
-    def test_identity_meta_is_raw_eval(self):
-        net = random_network([2, 4, 1], 1.0, seed=9)
-        meta = NNetMeta.identity(2)
-        x = np.array([0.3, -0.4])
-        assert np.allclose(eval_normalized(net, meta, x), net.forward(x))
-
-    def test_clamp_scale_denormalize(self):
-        net, _ = parse_nnet(MINIMAL_NNET)
-        meta = NNetMeta([0.0], [4.0], [2.0, 1.0], [2.0, 10.0])
-        # x = 9 clamps to 4, normalizes to (4-2)/2 = 1, net gives 2*1+0.5,
-        # then denormalizes to 2.5*10 + 1
-        assert eval_normalized(net, meta, [9.0]) == pytest.approx([26.0])
-
-    def test_off_switch(self):
-        net, _ = parse_nnet(MINIMAL_NNET)
-        meta = NNetMeta([0.0], [4.0], [2.0, 1.0], [2.0, 10.0])
-        assert eval_normalized(net, meta, [9.0], normalize=False) == pytest.approx([18.5])
 
 
 # An integer literal that no double can hold; test ids name it HUGE.

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nnbisim.interval
+import nnbisim.safety
 import nnbisim.star
 from nnbisim import (Box, Layer, LinearSpec, Network, NumericError, ShapeError,
                      Verdict, bisim_error_upper, inflate_spec, lp_feasible,
@@ -229,9 +231,8 @@ class TestNonFiniteBox:
 
     @settings(max_examples=30, deadline=None)
     @given(method=st.sampled_from(["interval", "split", "exact"]),
-           side=st.sampled_from(["lower", "upper"]), index=st.integers(0, 1),
-           also_large=st.booleans())
-    def test_compressed_names_the_bound(self, method, side, index, also_large):
+           side=st.sampled_from(["lower", "upper"]), index=st.integers(0, 1))
+    def test_compressed_names_the_bound(self, method, side, index):
         big = random_network([2, 4, 3, 1], 1.0, seed=1)
         small = random_network([2, 3, 1], 1.0, seed=2)
         lower, upper = np.zeros(2), np.ones(2)
@@ -241,8 +242,7 @@ class TestNonFiniteBox:
         with pytest.raises(ValueError, match=f"box {side} bound must be finite, "
                                              f"found {found} at index {index}"):
             verify_via_compressed(big, small, Box(lower, upper),
-                                  halfspace([1.0], 0.0), method=method,
-                                  also_large=also_large)
+                                  halfspace([1.0], 0.0), method=method)
 
 
 class TestInflate:
@@ -298,11 +298,10 @@ class TestCompressedPath:
         big, small = constant_net(1.0), constant_net(0.5)
         box = Box([-1.0], [1.0])
         spec = halfspace([1.0], 0.0)
-        report = verify_via_compressed(big, small, box, spec,
-                                       method="interval", also_large=True)
+        report = verify_via_compressed(big, small, box, spec, method="interval")
         assert report.epsilon == pytest.approx(0.5, abs=1e-12)
         assert report.verdict_small.status == UNCERTAIN
-        assert report.verdict_large.status == SAFE
+        assert verify(big, box, spec, method="interval").status == SAFE
 
     def test_never_unsafe(self):
         big, small = constant_net(-1.0), constant_net(-1.0)
@@ -329,13 +328,22 @@ class TestCompressedPath:
     def test_times_recorded(self):
         net = constant_net(1.0)
         report = verify_via_compressed(net, net, Box([0.0], [1.0]),
-                                       halfspace([1.0], 0.0), also_large=True)
+                                       halfspace([1.0], 0.0))
         assert report.time_small_seconds >= 0.0
-        assert report.time_large_seconds >= 0.0
-        no_large = verify_via_compressed(net, net, Box([0.0], [1.0]),
-                                         halfspace([1.0], 0.0))
-        assert no_large.time_large_seconds is None
-        assert no_large.verdict_large is None
+        assert report.time_large_seconds is None
+        assert report.verdict_large is None
+        with pytest.raises(ValueError, match="times must be nonnegative"):
+            dataclasses.replace(report, verdict_large=Verdict(SAFE),
+                                time_large_seconds=-1.0)
+
+    def test_wrong_spec_width_fails_before_the_bound(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the error bound was computed")
+        monkeypatch.setattr(nnbisim.safety, "bisim_error_upper", refuse)
+        with pytest.raises(ShapeError, match="spec constraints over 2 outputs, "
+                                             "network has 1"):
+            verify_via_compressed(constant_net(1.0), constant_net(0.5), Box([-1.0], [1.0]),
+                                  halfspace([1.0, 1.0], 0.0))
 
     @pytest.mark.parametrize("method", ["interval", "split", "exact"])
     def test_uncertain_small_verdict_evaluates_no_network(self, monkeypatch, method):

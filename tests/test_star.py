@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 import nnbisim.lp
 import nnbisim.star
-from nnbisim import (IDENTITY, RELU, Box, Layer, LinearSpec,
-                     Network, ResourceLimitError, Star, Verdict, bisim_error_upper,
+from nnbisim import (IDENTITY, RELU, Box, Layer, LinearSpec, Network,
+                     ResourceLimitError, ShapeError, Star, Verdict, bisim_error_upper,
                      box_to_star, lp_feasible, lp_max, merge, random_network,
                      reach_stars, star_sup_norm, sup_norm_box, verify)
 from nnbisim.lp import FEAS_TOL, LPBatch, lp_max_batch
@@ -254,6 +254,20 @@ class TestSupNorm:
         unit.pred_box = (np.full(2, -np.inf), np.full(2, np.inf))
         assert star_sup_norm([point, unit], "inf") == pytest.approx(1.0, abs=1e-9)
         assert star_sup_norm([point, unit], "l2") == pytest.approx(math.sqrt(2.0), abs=1e-9)
+
+    def test_mixed_predicate_widths_named(self):
+        stars = [box_to_star(Box([-1.0], [1.0])),
+                 box_to_star(Box([-1.0, -1.0], [1.0, 1.0]))]
+        with pytest.raises(ShapeError, match="star 1 has output width 2 and "
+                                             "predicate width 2, star 0 has 1 and 1"):
+            star_sup_norm(stars, "inf")
+
+    def test_mixed_output_widths_named(self):
+        square = box_to_star(Box([-1.0, -1.0], [1.0, 1.0]))
+        line = Star([0.0], [[1.0, 1.0]], square.constr_mat, square.constr_rhs)
+        with pytest.raises(ShapeError, match="star 1 has output width 1 and "
+                                             "predicate width 2, star 0 has 2 and 2"):
+            star_sup_norm([square, line], "l2")
 
     def test_nan_center_after_finite_star_propagates(self):
         finite = box_to_star(Box([5.0], [6.0]))
