@@ -20,6 +20,6 @@ from .norms import L2, LINF, dual_norm, sup_norm_box
 from .safety import (SAFE, UNCERTAIN, UNSAFE, BisimReport, LinearSpec,
                      Verdict, inflate_spec, report_csv, report_table, verify,
                      verify_via_compressed)
-from .star import Star, StarSet, box_to_star, reach_stars, star_sup_norm
+from .star import Star, StarSet, reach_stars, star_sup_norm
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from .interval import reach_box_split
 from .merge import _check_pair, merge
 from .network import _blocks, _workspace
 from .norms import LINF, batch_norms, check_norm
-from .star import DEFAULT_STAR_CAP, box_to_star, reach_stars
+from .star import DEFAULT_STAR_CAP, reach_stars
 
 METHOD_INTERVAL = "interval"
 METHOD_SPLIT = "split"
@@ -56,6 +56,14 @@ class ErrorBound:
             raise ValueError("epsilon_lower exceeds epsilon_upper")
 
 
+def _integer(name, value):
+    """value as an int: Python and numpy integers pass; bools and floats,
+    which range and slicing would reject or truncate, are a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 def reach(net, box, method, splits=None, star_cap=DEFAULT_STAR_CAP):
     """Outer bound of net's output set over box, by the named back-end.
 
@@ -65,16 +73,19 @@ def reach(net, box, method, splits=None, star_cap=DEFAULT_STAR_CAP):
                   `splits` cells per dimension
       "exact"     star-set reachability; exact
     Returns a BoxBatch for the first two and a StarSet for exact; label
-    names the back-end.
+    names the back-end. A splits that is not an integer is a ValueError,
+    whatever the method.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
+    if splits is not None:
+        splits = _integer("splits", splits)
     box.require_finite()
     if method == METHOD_EXACT:
-        reached = reach_stars(net, box_to_star(box), star_cap=star_cap)
+        reached = reach_stars(net, box, star_cap=star_cap)
         reached.label = "exact-star"
     elif method == METHOD_SPLIT:
-        k = DEFAULT_SPLITS if splits is None else int(splits)
+        k = DEFAULT_SPLITS if splits is None else splits
         reached = reach_box_split(net, box, k)
         reached.label = f"interval-split({k})"
     else:
@@ -89,6 +100,8 @@ def bisim_error_upper(net_big, net_small, box, method=DEFAULT_METHOD,
     from reach on the merged network; exact in the max norm with the
     exact method."""
     check_norm(norm)
+    if splits is not None:  # reach checks it too, but only after the merge
+        _integer("splits", splits)
     t0 = perf_counter()
     reached = reach(merge(net_big, net_small), box, method, splits, star_cap)
     eps = reached.sup_norm(norm)
@@ -113,9 +126,11 @@ def bisim_error_lower_mc(net_big, net_small, box, samples, seed, norm=LINF,
     the result does not depend on jobs (bit for bit on one BLAS thread).
     Raises MergePreconditionError when the nets' input or output widths
     differ, ShapeError for a box of another width, and NumericError when
-    an output difference is not finite.
+    an output difference is not finite, and ValueError for samples or
+    jobs that are not integers >= 1.
     """
     check_norm(norm)
+    samples, jobs = _integer("samples", samples), _integer("jobs", jobs)
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if jobs < 1:

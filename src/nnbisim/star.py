@@ -7,6 +7,12 @@ as-is) and the one where it is nonpositive (output row zeroed). Predicate
 coordinates never change, so any feasible predicate point maps back to a
 concrete input of the original set.
 
+reach_stars starts from the input box's star: the box centre, a
+diagonal basis of half-widths and the predicate polytope [-1, 1]^n, with
+the carried point 0 and [-1, 1]^n as its predicate box. So every star
+has a carried point and a finite predicate box by construction, and no
+LP is needed to find either.
+
 LPs run only where a cheap sound test leaves a question open. Every star
 carries one feasible predicate point, whose image already shows one side
 of a neuron's range, and its own predicate box, an outer bound of its
@@ -26,14 +32,13 @@ at once, held as a StarSet of stacked arrays: centres (N, dim), bases
 star k's constraint system, padded to the step's largest row count, and
 once solved its phase-1 start. A step computes the closed-form bounds and
 the point test for every star, then solves all range LPs that are left in
-one lp_max_batch by _lp_ranges (as star_sup_norm and a hand-built input
-star do), after phase 1 (per 256 systems) for the systems without a
-start. A split gathers the next step's systems in one Starts.take, which
-copies a start only for the stars that keep their system; the two
-children of a split star get theirs from the next phase 1. Stacked
-products go through np.matmul, whose per-star BLAS call is bit for bit
-the product of one star, so the stars and suprema are those of handling
-each star on its own.
+one lp_max_batch by _lp_ranges (as star_sup_norm does), after phase 1
+(per 256 systems) for the systems without a start. A split gathers the
+next step's systems in one Starts.take, which copies a start only for
+the stars that keep their system; the two children of a split star get
+theirs from the next phase 1. Stacked products go through np.matmul,
+whose per-star BLAS call is bit for bit the product of one star, so the
+stars and suprema are those of handling each star on its own.
 
 reach_stars returns the last step's StarSet, which bisim.reach hands out
 for the exact method. It has the members of interval.BoxBatch:
@@ -46,6 +51,7 @@ Practical on small networks only; the star count is capped.
 """
 
 from collections.abc import Sequence
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -62,28 +68,21 @@ DEFAULT_STAR_CAP = 10**5
 DECIDE_TOL = 1e-7
 
 
+@dataclass(frozen=True, eq=False)
 class Star:
-    """Affine image of a polytope: {center + basis @ a : constr_mat @ a <= constr_rhs}.
+    """Star k of a StarSet, {center + basis @ a : constr_mat @ a <= constr_rhs},
+    as views of its arrays: a record that StarSet.__getitem__ builds.
 
-    point is a feasible predicate point (None when unknown) and pred_box
-    a (lower, upper) pair of arrays bounding the predicate polytope (None
-    when unknown).
+    point is its feasible predicate point and pred_box a (lower, upper)
+    pair of finite arrays bounding its predicate polytope.
     """
 
-    def __init__(self, center, basis, constr_mat, constr_rhs):
-        self.center = np.atleast_1d(np.asarray(center, dtype=float))
-        self.basis = np.atleast_2d(np.asarray(basis, dtype=float))
-        self.constr_mat = np.asarray(constr_mat, dtype=float)
-        self.constr_rhs = np.atleast_1d(np.asarray(constr_rhs, dtype=float))
-        self.point = None
-        self.pred_box = None
-        p = self.basis.shape[1]
-        if self.constr_mat.size == 0:
-            self.constr_mat = self.constr_mat.reshape(self.constr_rhs.shape[0], p)
-        if self.basis.shape[0] != self.center.shape[0]:
-            raise ShapeError("basis rows != center length")
-        if self.constr_mat.shape != (self.constr_rhs.shape[0], p):
-            raise ShapeError("constraint shapes inconsistent with basis columns")
+    center: np.ndarray
+    basis: np.ndarray
+    constr_mat: np.ndarray
+    constr_rhs: np.ndarray
+    point: np.ndarray
+    pred_box: tuple
 
     @property
     def dim(self):
@@ -93,19 +92,17 @@ class Star:
 class StarSet(Sequence):
     """N stars as stacked arrays, with the members of interval.BoxBatch.
 
-    C (N, dim) centres, V (N, dim, p) bases, P (N, p) carried points (a
-    row of nan where a star has none), and starts, an lp.Starts of N
-    members whose member k is star k's constraint system (A (N, M, p), d
-    (N, M), rows (N,); rows past rows[k] read 0.a <= 1) and, where has[k]
-    holds, that system's phase-1 start. pred_box is a (lower, upper) pair
-    of (N, p) arrays bounding each star's predicate polytope (rows of -inf
-    and inf where unknown).
+    C (N, dim) centres, V (N, dim, p) bases, P (N, p) carried points (one
+    feasible predicate point per star, never NaN), and starts, an
+    lp.Starts of N members whose member k is star k's constraint system
+    (A (N, M, p), d (N, M), rows (N,); rows past rows[k] read 0.a <= 1)
+    and, where has[k] holds, that system's phase-1 start. pred_box is a
+    (lower, upper) pair of finite (N, p) arrays bounding each star's
+    predicate polytope.
 
     Indexing builds the i-th Star. lower and upper are the closed-form
-    (N, dim) outer bounds, computed on first use; infinite predicate
-    bounds can give NaN entries, which no test treats as deciding
-    anything. centers holds the input star's centre (the box centre for
-    box_to_star), which the witness search tries first.
+    (N, dim) outer bounds, computed on first use. centers holds the input
+    box's centre, which the witness search tries first.
     """
 
     label = None  # the back-end that computed the set, set by bisim.reach
@@ -122,11 +119,8 @@ class StarSet(Sequence):
     def __getitem__(self, i):
         s = self.starts
         m = s.rows[i]
-        star = Star(self.C[i], self.V[i], s.A[i, :m], s.d[i, :m])
-        if not np.isnan(self.P[i]).any():
-            star.point = self.P[i]
-        star.pred_box = tuple(b[i] for b in self.pred_box)
-        return star
+        return Star(self.C[i], self.V[i], s.A[i, :m], s.d[i, :m], self.P[i],
+                    tuple(b[i] for b in self.pred_box))
 
     @cached_property
     def _bounds(self):
@@ -165,53 +159,13 @@ class StarSet(Sequence):
         return lp_max_batch(objectives, s, systems)
 
 
-def _stack(stars):
-    """A list of Stars as a StarSet with no phase-1 starts yet; the
-    constraint systems are padded to the largest row count. Stars of
-    other output or predicate widths than the first are a ShapeError."""
-    N, (dim, p) = len(stars), stars[0].basis.shape
-    for k, s in enumerate(stars):
-        if s.basis.shape != (dim, p):
-            raise ShapeError(f"star {k} has output width {s.dim} and predicate width "
-                             f"{s.basis.shape[1]}, star 0 has {dim} and {p}")
-    starts = Starts.empty(N, max(len(s.constr_rhs) for s in stars), p)
-    P = np.full((N, p), np.nan)
-    lo, hi = np.full((N, p), -np.inf), np.full((N, p), np.inf)
-    for k, s in enumerate(stars):
-        m = starts.rows[k] = len(s.constr_rhs)
-        starts.A[k, :m], starts.d[k, :m] = s.constr_mat, s.constr_rhs
-        if s.point is not None:
-            P[k] = s.point
-        if s.pred_box is not None:
-            lo[k], hi[k] = s.pred_box
-    return StarSet(np.array([s.center for s in stars]), np.array([s.basis for s in stars]),
-                   P, starts, np.zeros(N, dtype=bool), (lo, hi))
-
-
 def _image_bounds(C, V, lo, hi):
     """Bounds of C + V a over lo <= a <= hi for stacked C (N, dim), V (N,
     dim, p) and lo, hi (N, p), each product the one of its star."""
     Vp, Vn = np.maximum(V, 0.0), np.minimum(V, 0.0)
     lo, hi = lo[:, :, None], hi[:, :, None]
-    with np.errstate(invalid="ignore"):
-        return (C + np.matmul(Vp, lo)[:, :, 0] + np.matmul(Vn, hi)[:, :, 0],
-                C + np.matmul(Vp, hi)[:, :, 0] + np.matmul(Vn, lo)[:, :, 0])
-
-
-def box_to_star(box):
-    """Lift a box to a star: midpoint center, half-width diagonal basis, |a_i| <= 1.
-
-    Degenerate dimensions keep their zero basis column; the star collapses
-    to a point along them. The predicate box is [-1, 1]^n and the zero
-    vector is a feasible point, so neither needs an LP.
-    """
-    half = (box.upper - box.lower) / 2.0
-    n = len(box)
-    star = Star(box.center(), np.diag(half),
-                np.vstack([np.eye(n), -np.eye(n)]), np.ones(2 * n))
-    star.point = np.zeros(n)
-    star.pred_box = (-np.ones(n), np.ones(n))
-    return star
+    return (C + np.matmul(Vp, lo)[:, :, 0] + np.matmul(Vn, hi)[:, :, 0],
+            C + np.matmul(Vp, hi)[:, :, 0] + np.matmul(Vn, lo)[:, :, 0])
 
 
 def _lp_ranges(st, rows, off, systems, need):
@@ -231,30 +185,6 @@ def _lp_ranges(st, rows, off, systems, need):
         upper[who[~low]], hi_pt[who[~low]] = ext[~low], res.point[~low]
         lower[who[low]], lo_pt[who[low]] = ext[low], res.point[low]
     return lower, upper, lo_pt, hi_pt
-
-
-def _input_stack(star):
-    """The input star of reach_stars as a StarSet of one, with a feasible
-    point and its predicate box filled in where star has none.
-
-    A missing point costs one LP (of the zero objective), which also
-    proves the constraint set feasible; a missing box costs 2p LPs, one
-    per predicate bound. They run as one batch on one phase 1. Raises
-    ValueError for an infeasible star.
-    """
-    st = _stack([star])
-    p = st.P.shape[1]
-    rows = np.vstack([np.zeros((1, p)), np.eye(p)])
-    need = np.array([[star.point is None, False]] + [[star.pred_box is None] * 2] * p)
-    lower, upper, _, hi_pt = _lp_ranges(st, rows, np.zeros(p + 1),
-                                        np.zeros(p + 1, dtype=np.intp), need)
-    if star.point is None:
-        if upper[0] == np.inf:
-            raise ValueError("star constraint set is infeasible")
-        st.P[0] = hi_pt[0]
-    if star.pred_box is None:
-        st.pred_box = (lower[None, 1:], upper[None, 1:])
-    return st
 
 
 def _ordered(lower, upper):
@@ -282,25 +212,19 @@ def _range_lps(st, open_, rows, off, tol):
 
 
 def _cut_box(lo, hi, r, e, point):
-    """The boxes lo <= a <= hi (n, p) tightened by one cut r[k] . a <= e[k]
-    each, in one bound-propagation pass:
+    """The finite boxes lo <= a <= hi (n, p) tightened by one cut r[k] . a
+    <= e[k] each, in one bound-propagation pass:
 
         a_j <= (e - sum_{k != j} min(r_k lo_k, r_k hi_k)) / r_j   (r_j > 0)
 
     and the mirror lower bound where r_j < 0. A zero r_j leaves a_j as it
-    is, and a bound with an infinite term (a_k unbounded on the side that
-    matters, k != j) is not tightened. Each new bound is widened outward by
-    a bound on its rounding error, and the box is stretched to hold point
-    (a nan entry is ignored), so that the result is an outer bound of the
-    cut polytope that contains the point.
+    is. Each new bound is widened outward by a bound on its rounding
+    error, and the box is stretched to hold point, so that the result is
+    an outer bound of the cut polytope that contains the point. A bound
+    that is not finite (by overflow) is not applied.
     """
-    live = r != 0.0
-    with np.errstate(invalid="ignore", over="ignore"):
-        m = np.where(live, np.minimum(r * lo, r * hi), 0.0)
-    infinite = ~np.isfinite(m)  # a term of -inf
-    m[infinite] = 0.0
-    others = infinite.sum(axis=1, keepdims=True) - infinite
-    rest = np.where(others > 0, -np.inf, m.sum(axis=1, keepdims=True) - m)
+    m = np.where(r != 0.0, np.minimum(r * lo, r * hi), 0.0)
+    rest = m.sum(axis=1, keepdims=True) - m
     scale = np.abs(e)[:, None] + np.abs(m).sum(axis=1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         bound = (e[:, None] - rest) / r
@@ -366,18 +290,28 @@ def _relu_step(st, i):
     return StarSet(C, V, P, starts, has, (lo, hi))
 
 
-def reach_stars(net, star, star_cap=DEFAULT_STAR_CAP):
-    """Exact output reachable set of a network as a StarSet.
+def reach_stars(net, box, star_cap=DEFAULT_STAR_CAP):
+    """Exact output reachable set of a network over a box as a StarSet.
 
-    Raises ResourceLimitError when the union would exceed star_cap; the
-    interval back-end is the fallback at that scale. Raises ValueError
-    when the input star is empty.
+    The input star is the box's: centre box.center(), basis
+    diag((upper - lower) / 2), rows [I; -I] a <= 1, carried point 0 and
+    predicate box [-1, 1]^n. A zero-width dimension keeps its zero basis
+    column, so the star is flat along it. Raises ShapeError for a box of
+    another length than the input width, ValueError for an infinite box
+    bound, and ResourceLimitError when the union would exceed star_cap;
+    the interval back-end is the fallback at that scale.
     """
-    if star.dim != net.input_dim:
-        raise ShapeError(f"star dim {star.dim} != input_dim {net.input_dim}")
+    if len(box) != net.input_dim:
+        raise ShapeError(f"box length {len(box)} != input_dim {net.input_dim}")
+    box.require_finite()
     if star_cap < 1:
         raise ValueError("star_cap must be >= 1")
-    st = _input_stack(star)
+    n = len(box)
+    starts = Starts.empty(1, 2 * n, n)
+    starts.A[0], starts.rows[0] = np.vstack([np.eye(n), -np.eye(n)]), 2 * n
+    st = StarSet(box.center()[None], np.diag((box.upper - box.lower) / 2.0)[None],
+                 np.zeros((1, n)), starts, np.zeros(1, dtype=bool),
+                 (-np.ones((1, n)), np.ones((1, n))))
     for k, lay in enumerate(net.layers):
         with np.errstate(over="ignore", invalid="ignore"):
             st.C = np.matmul(lay.weights, st.C[:, :, None])[:, :, 0] + lay.bias
@@ -390,12 +324,12 @@ def reach_stars(net, star, star_cap=DEFAULT_STAR_CAP):
             if len(st) > star_cap:
                 raise ResourceLimitError(
                     f"star count {len(st)} exceeds cap {star_cap}")
-    st.centers = star.center[None, :]
+    st.centers = box.center()[None]
     return st
 
 
-def star_sup_norm(stars, norm=LINF):
-    """sup of ||y|| over a union of stars: a StarSet or a list of Stars.
+def star_sup_norm(st, norm=LINF):
+    """sup of ||y|| over the union of a StarSet's stars.
 
     Exact for the max norm. For the euclidean norm the per-coordinate
     extremes give sqrt(sum_i max(lo_i^2, hi_i^2)), an upper bound on the
@@ -408,17 +342,13 @@ def star_sup_norm(stars, norm=LINF):
     that is not constant, for the max norm only the ends whose own
     closed-form magnitude can reach L. The star and end that attain the
     supremum are among them and none exceeds it, so the result is that of
-    solving every star. A NaN anywhere propagates to the result.
+    solving every star.
     """
-    if not stars:
-        raise ValueError("empty star list")
-    st = stars if isinstance(stars, StarSet) else _stack(stars)
     caps = batch_norms(np.maximum(np.abs(st.lower), np.abs(st.upper)), norm)
-    has = ~np.isnan(st.P).any(axis=1)
-    at_points = st.C[has] + np.matmul(st.V[has], st.P[has][:, :, None])[:, :, 0]
-    L = batch_norms(at_points, norm).max(initial=0.0)
+    at_points = st.C + np.matmul(st.V, st.P[:, :, None])[:, :, 0]
+    L = batch_norms(at_points, norm).max()
     target = L - DECIDE_TOL * (1.0 + L)
-    # The negations keep a NaN cap or bound chosen.
+    # The negations keep a cap or bound that overflowed to NaN chosen.
     chosen = np.flatnonzero(~(caps < target))
     C, V = st.C[chosen], st.V[chosen]
     live = np.flatnonzero((np.abs(V) > 0.0).any(axis=2))  # into C.ravel()

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nnbisim.bisim
 from nnbisim import (Box, LinearSpec, Layer, MergePreconditionError, Network,
                      NumericError, ShapeError, bisim_error_lower_mc,
                      bisim_error_upper, random_network, verify)
@@ -85,6 +87,27 @@ class TestUpperBound:
         net = constant_net(1.0)
         with pytest.raises(ValueError):
             bisim_error_upper(net, net, Box([0.0], [1.0]), method="magic")
+
+    @pytest.mark.parametrize("splits", [2.9, True, np.float64(3.0)])
+    def test_non_integer_splits_named_before_any_work(self, monkeypatch, splits):
+        def merge(*args):
+            raise AssertionError("merged before the check")
+
+        big, small, box = random_pair(18)
+        message = f"^{re.escape(f'splits must be an integer, got {splits}')}$"
+        spec = LinearSpec([(np.ones((1, big.output_dim)), [0.0])])
+        with pytest.raises(ValueError, match=message):
+            verify(big, box, spec, method="split", splits=splits)
+        monkeypatch.setattr(nnbisim.bisim, "merge", merge)
+        with pytest.raises(ValueError, match=message):
+            bisim_error_upper(big, small, box, method="split", splits=splits)
+
+    def test_numpy_integer_splits_accepted(self):
+        big, small, box = random_pair(18)
+        got = bisim_error_upper(big, small, box, method="split", splits=np.int64(3))
+        want = bisim_error_upper(big, small, box, method="split", splits=3)
+        assert got.epsilon_upper == want.epsilon_upper
+        assert got.method == want.method == "interval-split(3)"
 
 
 class TestLowerBound:
@@ -240,6 +263,26 @@ class TestLowerBound:
         big, small, box = random_pair(18)
         with pytest.raises(ValueError):
             bisim_error_lower_mc(big, small, box, 0, seed=0)
+
+    @pytest.mark.parametrize("counts, message", [
+        ({"samples": 100.5}, "samples must be an integer, got 100.5"),
+        ({"samples": True}, "samples must be an integer, got True"),
+        ({"jobs": 2.0}, "jobs must be an integer, got 2.0"),
+        ({"jobs": True}, "jobs must be an integer, got True"),
+    ], ids=["samples-float", "samples-bool", "jobs-float", "jobs-bool"])
+    def test_non_integer_counts_named_before_sampling(self, monkeypatch, counts, message):
+        def sample(*args):
+            raise AssertionError("sampled before the checks")
+
+        monkeypatch.setattr(Box, "sample", sample)
+        big, small, box = random_pair(18)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            bisim_error_lower_mc(big, small, box, **{"samples": 100, "seed": 0, **counts})
+
+    def test_numpy_integer_counts_accepted(self):
+        big, small, box = random_pair(18)
+        got = bisim_error_lower_mc(big, small, box, np.int64(5000), seed=0, jobs=np.int32(2))
+        assert got == bisim_error_lower_mc(big, small, box, 5000, seed=0, jobs=2)
 
     @pytest.mark.parametrize("small_sizes, lower, error, message", [
         ([2, 3, 1], [-1, -1], MergePreconditionError, "output dimensions differ: 3 vs 1"),

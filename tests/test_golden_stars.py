@@ -20,8 +20,8 @@ import sys
 import numpy as np
 import pytest
 
-from nnbisim import (Box, LinearSpec, box_to_star, merge, random_network,
-                     reach_stars, star_sup_norm, verify)
+from nnbisim import (Box, LinearSpec, merge, random_network, reach_stars,
+                     star_sup_norm, verify)
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "golden", "stars.json")
 
@@ -50,12 +50,12 @@ def record(name):
     small = random_network(small_sizes, 1.0, seed=s_small)
     dim = big_sizes[0]
     box = Box(-np.ones(dim), np.ones(dim))
-    stars = reach_stars(merge(big, small), box_to_star(box))
+    stars = reach_stars(merge(big, small), box)
     y = big.forward_batch(box.sample(np.random.default_rng(0), 500))[:, 0]
     if level == "unsafe":
         t = float(np.quantile(y, 0.9))
     else:
-        t = star_sup_norm(reach_stars(big, box_to_star(box)), "inf") + 1.0
+        t = star_sup_norm(reach_stars(big, box), "inf") + 1.0
     a = np.zeros((1, big.output_dim))
     a[0, 0] = -1.0
     v = verify(big, box, LinearSpec([(a, np.array([-t]))]), method="exact")
