@@ -6,13 +6,19 @@ variables and adding slacks. Entering columns follow Bland's rule
 basic-variable index, so the solve is deterministic and cannot cycle.
 Reduced costs are recomputed from the tableau every iteration.
 
-Phase 1 never reads the objective (Dantzig, "Linear Programming and
-Extensions", ch. 5), so it runs once per constraint system and gives a
-start that every objective over the system can use.
+Phase 2 needs a start: any feasible basis of the system, held as its
+tableau. Phase 1 finds one without reading the objective (Dantzig,
+"Linear Programming and Extensions", ch. 5), so it runs once per
+constraint system and gives a start that every objective over the
+system can use. The final tableau of a solved LP is a start too, and a
+start stays one when a row is added with its slack basic, as long as the
+slack is not negative at the basic point (Starts.add_row): a system that
+grows one cut at a time needs phase 1 only once.
 
 The solver works on stacks. phase_one_batch runs phase 1 for a stack of
 systems and returns their Starts; lp_max_batch runs phase 2 for a stack
-of LPs, each from one of those starts. All members of a stack move in
+of LPs, each from one of those starts, and can hand back the final
+tableaus of the LPs it is asked to keep. All members of a stack move in
 lockstep on one (members, rows, columns) tableau array: every iteration
 picks each member's entering column, leaving row and pivot with array
 operations, and a member leaves the stack as soon as it is finished.
@@ -67,11 +73,21 @@ class LPResult:
 class LPBatch:
     """Results of lp_max_batch, one entry per LP: optimal (bool array),
     value (inf when unbounded, nan when infeasible) and point (LPs, vars),
-    a row of nan where the LP has no optimum."""
+    a row of nan where the LP has no optimum.
+
+    When lp_max_batch is given floors, kept[k] indexes LP k's final
+    tableau and basis in tableau (K, M, 2n + M + 1) and basis (K, M), laid
+    out as a start of its system (see Starts), where LP k is optimal with
+    value > floor[k], and is -1 elsewhere. Without floors all three are
+    None.
+    """
 
     optimal: np.ndarray
     value: np.ndarray
     point: np.ndarray
+    kept: np.ndarray = None
+    tableau: np.ndarray = None
+    basis: np.ndarray = None
 
     def __getitem__(self, k):
         if self.optimal[k]:
@@ -82,16 +98,18 @@ class LPBatch:
 
 @dataclass
 class Starts:
-    """A stack of constraint systems, padded to M rows, and their phase-1
-    starts.
+    """A stack of constraint systems, padded to M rows, and their starts.
 
     System k is A[k, :rows[k]] x <= d[k, :rows[k]] (A is (S, M, n), d is
     (S, M)); rows past rows[k] read 0.x <= 1. tableau (S, M, 2n + M + 1)
     and basis (S, M) are a feasible basis of each standard form where
-    feasible[k] holds; a redundant row that phase 1 dropped is a zero row
-    whose basic slot is its own slack. error[k] names the numeric
-    breakdown of phase 1, or is None. A member without a start (as empty
-    and take may leave it) reads as infeasible until put stores one.
+    feasible[k] holds: columns x = u - v (2n), then one slack per row, then
+    the right-hand side, which holds the basic point. A start comes from
+    phase 1 or is the final tableau of an LP over the system, maybe grown
+    by add_row; a redundant row that phase 1 dropped is a zero row whose
+    basic slot is its own slack. error[k] names the numeric breakdown of
+    phase 1, or is None. A member without a start (as empty and take may
+    leave it) reads as infeasible until put or store gives it one.
     """
 
     A: np.ndarray
@@ -116,29 +134,69 @@ class Starts:
     def take(self, idx, M, solved):
         """The systems idx as a new stack padded to M >= this stack's rows,
         with the starts of the members where solved holds; the others are
-        empty starts, whose tableaus are never written. A padding row reads
-        0.x <= 1 with its slack basic, so a padded start is the start of
-        the padded system."""
+        empty starts, whose tableaus are never written."""
         _, M0, n = self.A.shape
         out = Starts.empty(len(idx), M, n)
         out.A[:, :M0], out.d[:, :M0], out.rows[:] = self.A[idx], self.d[idx], self.rows[idx]
         keep = np.flatnonzero(solved)
-        src = idx[keep]
-        for k in range(0, keep.size, _CHUNK):  # bounds the gathered copy
-            kk, sk = keep[k:k + _CHUNK], src[k:k + _CHUNK]
-            out.tableau[kk, :M0, :2 * n + M0] = self.tableau[sk, :, :-1]
-            out.tableau[kk, :M0, -1] = self.tableau[sk, :, -1]
-        new = np.arange(M0, M)
-        out.tableau[keep[:, None], new, 2 * n + new] = 1.0
-        out.tableau[keep, M0:, -1] = 1.0
-        out.basis[keep, :M0] = self.basis[src]
-        out.feasible[keep], out.error[keep] = self.feasible[src], self.error[src]
+        out.store(keep, self.tableau, self.basis, idx[keep])
+        out.feasible[keep], out.error[keep] = self.feasible[idx[keep]], self.error[idx[keep]]
         return out
+
+    def store(self, dst, tableau, basis, src):
+        """Give members dst the feasible bases tableau[src], basis[src] of
+        their systems, laid out for M0 <= M rows, as their starts. A
+        padding row reads 0.x <= 1 with its slack basic, so a padded start
+        is the start of the padded system. The members' tableaus must be
+        empty (all zero) past the source's rows."""
+        n = self.A.shape[2]
+        M0 = basis.shape[1]
+        for k in range(0, dst.size, _CHUNK):  # bounds the gathered copy
+            kk, sk = dst[k:k + _CHUNK], src[k:k + _CHUNK]
+            self.tableau[kk, :M0, :2 * n + M0] = tableau[sk, :, :-1]
+            self.tableau[kk, :M0, -1] = tableau[sk, :, -1]
+        new = np.arange(M0, self.A.shape[1])
+        self.tableau[dst[:, None], new, 2 * n + new] = 1.0
+        self.tableau[dst, M0:, -1] = 1.0
+        self.basis[dst, :M0] = basis[src]
+        self.feasible[dst], self.error[dst] = True, None
 
     def put(self, idx, other):
         """Store the stack other (with the same M) at idx."""
         for f in _START_FIELDS:
             getattr(self, f)[idx] = getattr(other, f)
+
+    def add_row(self, idx, r, e, solved):
+        """Append the row r[k] . x <= e[k] to system idx[k], which must
+        have a padding row left. Where solved[k] holds, the row also enters
+        the member's start with its slack basic: the row is written in the
+        basis by eliminating its basic columns, which leaves the new
+        slack's value, e - r . x at the basic point, on the right-hand side.
+        A slack in (-FEAS_TOL, 0) is rounding noise and reads 0, as in
+        _simplex. Returns where the start still holds: solved, and the
+        slack not below -FEAS_TOL. Members where it fails lose their start
+        (feasible False)."""
+        n = self.A.shape[2]
+        at = self.rows[idx]
+        self.A[idx, at], self.d[idx, at] = r, e
+        self.rows[idx] += 1
+        ok = np.asarray(solved, dtype=bool).copy()
+        for k in range(0, idx.size, _CHUNK):  # bounds the gathered tableaus
+            j = k + np.flatnonzero(ok[k:k + _CHUNK])
+            m, a, ar = idx[j], at[j], np.arange(j.size)
+            row = np.zeros((j.size, self.tableau.shape[2]))
+            row[:, :n], row[:, n:2 * n], row[:, -1] = r[j], -r[j], e[j]
+            # Row a is a padding row: its slack, the new row's, is basic
+            # there and has no coefficient yet, so it is not eliminated.
+            coef = np.take_along_axis(row, self.basis[m], axis=1)
+            row -= np.matmul(coef[:, None, :], self.tableau[m])[:, 0]
+            row[ar, 2 * n + a] = 1.0
+            slack = row[:, -1]
+            slack[(slack < 0.0) & (slack > -FEAS_TOL)] = 0.0
+            self.tableau[m, a] = row
+            ok[j] = slack >= 0.0
+        self.feasible[idx[~ok]] = False
+        return ok
 
 
 _START_FIELDS = ("A", "d", "rows", "tableau", "basis", "feasible", "error")
@@ -339,16 +397,21 @@ def _finish_phase_one(T, basis, n_struct, n):
     return True, None
 
 
-def lp_max_batch(objectives, starts, which):
+def lp_max_batch(objectives, starts, which, floor=None):
     """Phase 2 for a stack of LPs: LP k maximizes objectives[k] . x over
-    system which[k] of starts (a Starts), from its phase-1 start. Several
-    LPs may share one start; starts is never modified.
+    system which[k] of starts (a Starts), from its start. Several LPs may
+    share one start; starts is never modified.
 
-    Returns an LPBatch. Raises the DegenerateLPError of the first LP (in
-    stack order) whose start or whose own phase 2 broke down.
+    Returns an LPBatch. With floor (one value per LP), it also holds the
+    final tableau and basis of every LP that is optimal with value >
+    floor[k]: a start of that LP's system whose basic point is the LP's
+    point. Raises the DegenerateLPError of the first LP (in stack order)
+    whose start or whose own phase 2 broke down.
     """
     c = np.asarray(objectives, dtype=float)
     which = np.asarray(which, dtype=np.intp)
+    if floor is not None:
+        floor = np.asarray(floor, dtype=float)
     L, n = c.shape
     rows = starts.rows[which]
     optimal = starts.feasible[which]
@@ -366,17 +429,25 @@ def lp_max_batch(objectives, starts, which):
         unbounded = empty & (np.abs(c) > FEAS_TOL).any(axis=1)
         optimal[unbounded], value[unbounded] = False, np.inf
         value[empty & ~unbounded], point[empty & ~unbounded] = 0.0, 0.0
+    kept = [(np.zeros(0, dtype=np.intp), starts.tableau[:0], starts.basis[:0])]
     for k in range(0, solve.size, _CHUNK):
-        _phase_two(c, starts, which, rows, solve[k:k + _CHUNK], optimal, value, point,
-                   errors)
+        kept.append(_phase_two(c, starts, which, rows, solve[k:k + _CHUNK], optimal, value,
+                               point, errors, floor))
     if errors:
         raise DegenerateLPError(errors[min(errors)])
-    return LPBatch(optimal, value, point)
+    if floor is None:
+        return LPBatch(optimal, value, point)
+    lps, tableau, basis = (np.concatenate(a) for a in zip(*kept))
+    at = np.full(L, -1, dtype=np.intp)
+    at[lps] = np.arange(lps.size)
+    return LPBatch(optimal, value, point, at, tableau, basis)
 
 
-def _phase_two(c, starts, which, rows, solve, optimal, value, point, errors):
+def _phase_two(c, starts, which, rows, solve, optimal, value, point, errors, floor):
     """Phase 2 of the LPs solve of lp_max_batch as one lockstep stack,
-    results written into optimal, value, point and errors."""
+    results written into optimal, value, point and errors. Returns (LPs,
+    final tableaus, bases) of the optimal LPs whose value exceeds floor,
+    none without floor."""
     n = c.shape[1]
     T = starts.tableau[which[solve]]
     basis = starts.basis[which[solve]]
@@ -397,6 +468,8 @@ def _phase_two(c, starts, which, rows, solve, optimal, value, point, errors):
     k = solve[done]
     point[k] = pts
     value[k] = np.matmul(c[k][:, None, :], pts[:, :, None])[:, 0, 0]
+    up = done[:0] if floor is None else done[value[k] > floor[k]]
+    return solve[up], T[up], basis[up]
 
 
 def lp_max(objective, A, d):

@@ -24,28 +24,44 @@ estimated-bounds idea of NNV's star sets (Tran et al., "Star-Based
 Reachability Analysis of Deep Neural Networks", FM 2019). A closed-form
 bound decides only where it clears zero by DECIDE_TOL, where the LPs
 would decide the same, so star counts and suprema are those of running
-both range LPs at every neuron.
+both range LPs at every neuron (but see the slivers below).
 
 reach_stars works one (layer, ReLU neuron) step at a time on all stars
 at once, held as a StarSet of stacked arrays: centres (N, dim), bases
 (N, dim, p), carried points (N, p), and an lp.Starts whose member k is
 star k's constraint system, padded to the step's largest row count, and
-once solved its phase-1 start. A step computes the closed-form bounds and
-the point test for every star, then solves all range LPs that are left in
-one lp_max_batch by _lp_ranges (as star_sup_norm does), after phase 1
-(per 256 systems) for the systems without a start. A split gathers the
-next step's systems in one Starts.take, which copies a start only for
-the stars that keep their system; the two children of a split star get
-theirs from the next phase 1. Stacked products go through np.matmul,
-whose per-star BLAS call is bit for bit the product of one star, so the
-stars and suprema are those of handling each star on its own.
+its start: a feasible basis whose basic point is the star's carried
+point. Phase 1 runs once, for the input star, whose start is the slack
+basis at the point 0. A step computes the closed-form bounds and the
+point test for every star, then solves all range LPs that are left in
+one lp_max_batch by _lp_ranges, which hands back the final tableaus of
+the ends that cross zero. A split gathers the next step's systems in one
+Starts.take. The child on the side of a range LP takes that LP's optimum
+as its point and its final tableau as its start; the other child keeps
+its parent's point and start. Each child's cut row then enters its start
+with its slack basic (Starts.add_row): at the child's point that slack
+is the range end the split was made on, which is positive, so no phase 1
+runs. A child whose slack reads below -FEAS_TOL by rounding gets no start
+and gets one from phase 1 when its first LP runs. Stacked products go
+through np.matmul, whose per-star BLAS call is bit for bit the product
+of one star, so the stars are those of handling each star on its own.
+
+A warm start can end a range LP at another optimal vertex than phase 1
+would, or a few ulp away, so carried points differ from those of
+phase-1 starts. Star counts differ only where a range ends exactly at 0,
+as for the two copies of a kept neuron in a pruned pair's merged
+network: the sign of the rounding then decides whether a measure-zero
+sliver star splits off, and the supremum, taken over other stars, can
+move by an ulp or two.
 
 reach_stars returns the last step's StarSet, which bisim.reach hands out
 for the exact method. It has the members of interval.BoxBatch:
 closed-form bounds, sup_norm, an LP intersection test and witness-search
 centres, and it builds a Star only when indexed. star_sup_norm solves
 the range LPs of every star that can hold the supremum in one more
-lp_max_batch, from the starts that the steps left.
+lp_max_batch, from the starts that the steps left, and solves the stars
+near the supremum once more from phase 1, so that the supremum is the
+one of phase-1 starts over the same stars bit for bit.
 
 Practical on small networks only; the star count is capped.
 """
@@ -58,7 +74,7 @@ import numpy as np
 
 from .errors import NumericError, ResourceLimitError, ShapeError
 from .interval import BoxBatch
-from .lp import _CHUNK, Starts, lp_feasible, lp_max_batch, phase_one_batch
+from .lp import _CHUNK, lp_feasible, lp_max_batch, phase_one_batch
 from .norms import LINF, batch_norms, sup_norm_box
 
 DEFAULT_STAR_CAP = 10**5
@@ -96,7 +112,8 @@ class StarSet(Sequence):
     feasible predicate point per star, never NaN), and starts, an
     lp.Starts of N members whose member k is star k's constraint system
     (A (N, M, p), d (N, M), rows (N,); rows past rows[k] read 0.a <= 1)
-    and, where has[k] holds, that system's phase-1 start. pred_box is a
+    and, where has[k] holds, a start of it; one that reach_stars leaves
+    has its basic point at P[k]. pred_box is a
     (lower, upper) pair of finite (N, p) arrays bounding each star's
     predicate polytope.
 
@@ -145,18 +162,27 @@ class StarSet(Sequence):
         return lp_feasible(np.vstack([s.A[i, :m], A @ self.V[i]]),
                            np.concatenate([s.d[i, :m], d - A @ self.C[i]]))
 
-    def _lp_max(self, objectives, systems):
+    def _lp_max(self, objectives, systems, floor=None):
         """lp_max_batch of each objectives[j] over the system of star
-        systems[j], after phase 1 for the systems without a start, whose
-        starts are then kept. Phase 1 runs and is stored per _CHUNK
-        systems, which bounds its stack and the copy into starts."""
+        systems[j] (floor as there), after phase 1 for the systems without
+        a start, whose starts are then kept. Phase 1 runs and is stored
+        per _CHUNK systems, which bounds its stack and the copy into
+        starts."""
         s = self.starts
         missing = np.unique(systems[~self.has[systems]])
         for k in range(0, missing.size, _CHUNK):
             m = missing[k:k + _CHUNK]
             s.put(m, phase_one_batch(s.A[m], s.d[m], s.rows[m]))
         self.has[missing] = True
-        return lp_max_batch(objectives, s, systems)
+        return lp_max_batch(objectives, s, systems, floor)
+
+    def _unsolved(self, idx):
+        """The stars idx as a new StarSet without starts, whose LPs then
+        run from phase 1."""
+        none = np.zeros(len(idx), dtype=bool)
+        return StarSet(self.C[idx], self.V[idx], self.P[idx],
+                       self.starts.take(idx, self.starts.A.shape[1], none), none,
+                       tuple(b[idx] for b in self.pred_box))
 
 
 def _image_bounds(C, V, lo, hi):
@@ -168,23 +194,38 @@ def _image_bounds(C, V, lo, hi):
             C + np.matmul(Vp, hi)[:, :, 0] + np.matmul(Vn, lo)[:, :, 0])
 
 
-def _lp_ranges(st, rows, off, systems, need):
-    """(lower, upper, lo_pt, hi_pt): the range of off[k] + rows[k] . a over
-    the system of star systems[k] and the points that attain its ends, by
-    one lp_max_batch for the ends that need[k] (n, 2) asks for (column 0
-    upper, 1 lower). An end not asked for reads off[k] with the carried
-    point, one whose LP has no optimum +-inf."""
+def _lp_ranges(st, rows, off, systems, need, keep=False):
+    """(lower, upper, lo_pt, hi_pt, ends): the range of off[k] + rows[k] .
+    a over the system of star systems[k] and the points that attain its
+    ends, by one lp_max_batch for the ends that need[k] (n, 2) asks for
+    (column 0 upper, 1 lower). An end not asked for reads off[k] with the
+    carried point, one whose LP has no optimum +-inf.
+
+    With keep, ends is (tableau, basis, lo_at, hi_at): the final tableaus
+    and bases of the LPs whose end crosses zero (upper > 0, lower < 0),
+    each a start whose basic point is that end's point, and per row the
+    index there of each end's tableau, -1 where none was kept. Without,
+    ends is None.
+    """
     lower, upper = off.copy(), off.copy()
     lo_pt, hi_pt = st.P[systems], st.P[systems]
+    lo_at, hi_at = np.full(len(off), -1), np.full(len(off), -1)
+    ends = None
     flat = np.flatnonzero(need)
     if flat.size:
         who, low = flat // 2, flat % 2 == 1
         sign = np.where(low, -1.0, 1.0)
-        res = st._lp_max(sign[:, None] * rows[who], systems[who])
+        # off + sign * value has the sign of sign exactly where value >
+        # -sign * off: rounding keeps a sum's sign and gives 0 only for 0.
+        res = st._lp_max(sign[:, None] * rows[who], systems[who],
+                         -sign * off[who] if keep else None)
         ext = np.where(res.optimal, off[who] + sign * res.value, sign * np.inf)
         upper[who[~low]], hi_pt[who[~low]] = ext[~low], res.point[~low]
         lower[who[low]], lo_pt[who[low]] = ext[low], res.point[low]
-    return lower, upper, lo_pt, hi_pt
+        if keep:
+            hi_at[who[~low]], lo_at[who[low]] = res.kept[~low], res.kept[low]
+            ends = res.tableau, res.basis, lo_at, hi_at
+    return lower, upper, lo_pt, hi_pt, ends
 
 
 def _ordered(lower, upper):
@@ -196,7 +237,7 @@ def _ordered(lower, upper):
 def _range_lps(st, open_, rows, off, tol):
     """Range of neuron rows over the open stars, as far as a decision
     needs it: (lower, upper, point at the lower end, point at the upper
-    end).
+    end, ends), ends as _lp_ranges keeps them.
 
     The carried point's image shows one side of the range; only the other
     side needs an LP. Otherwise both run, so that a split always has two
@@ -205,10 +246,10 @@ def _range_lps(st, open_, rows, off, tol):
     v = np.matmul(rows[:, None, :], st.P[open_][:, :, None])[:, 0, 0] + off
     live = (np.abs(rows) > 0.0).any(axis=1)
     need = np.stack([~(v > tol) & live, ~(v < -tol) & live], axis=1)
-    lower, upper, lo_pt, hi_pt = _lp_ranges(st, rows, off, open_, need)
+    lower, upper, lo_pt, hi_pt, ends = _lp_ranges(st, rows, off, open_, need, keep=True)
     upper[v > tol] = np.inf
     lower[v < -tol] = -np.inf
-    return _ordered(lower, upper) + (lo_pt, hi_pt)
+    return _ordered(lower, upper) + (lo_pt, hi_pt, ends)
 
 
 def _cut_box(lo, hi, r, e, point):
@@ -255,8 +296,8 @@ def _relu_step(st, i):
     code = zero.astype(np.int8)  # 0 keep, 1 zero row i, 2 split
     open_ = np.flatnonzero(~keep & ~zero)
     if open_.size:
-        lower, upper, lo_pt, hi_pt = _range_lps(st, open_, rows_i[open_], off[open_],
-                                                tol[open_])
+        lower, upper, lo_pt, hi_pt, ends = _range_lps(st, open_, rows_i[open_], off[open_],
+                                                      tol[open_])
         code[open_] = np.where(lower >= 0.0, 0, np.where(upper <= 0.0, 1, 2))
     split = np.flatnonzero(code == 2)
     if not split.size:
@@ -267,24 +308,29 @@ def _relu_step(st, i):
     counts = np.where(code == 2, 2, 1)
     src = np.repeat(np.arange(len(st)), counts)
     first = np.cumsum(counts) - counts
-    pos, neg = first[split], first[split] + 1
-    # Each child gets one cut row, at its parent's row count, and no start.
-    at = st.starts.rows[split]
+    cut = np.concatenate([first[split], first[split] + 1])  # the kept, then the zeroed
+    at_open = np.searchsorted(open_, split)
+    tableau, basis, lo_at, hi_at = ends
+    lp_at = np.concatenate([hi_at[at_open], lo_at[at_open]])
+    from_lp = lp_at >= 0
+    # A child on the side of a range LP takes that LP's optimum as its
+    # point and its final tableau as its start; the other keeps its
+    # parent's point and start. Either way the start's basic point is the
+    # child's point, where the child's cut row holds with slack |upper|
+    # or |lower| > 0, so the row enters the start with its slack basic.
     has = st.has[src]
-    has[pos] = has[neg] = False
-    starts = st.starts.take(src, max(st.starts.A.shape[1], at.max() + 1), has)
-    starts.A[pos, at], starts.d[pos, at] = -rows_i[split], off[split]
-    starts.A[neg, at], starts.d[neg, at] = rows_i[split], -off[split]
-    starts.rows[pos] += 1
-    starts.rows[neg] += 1
+    has[cut[from_lp]] = False  # not the parent's start
+    starts = st.starts.take(src, max(st.starts.A.shape[1], st.starts.rows[split].max() + 1),
+                            has)
+    starts.store(cut[from_lp], tableau, basis, lp_at[from_lp])
+    r = np.concatenate([-rows_i[split], rows_i[split]])
+    e = np.concatenate([off[split], -off[split]])
+    has[cut] = starts.add_row(cut, r, e, has[cut] | from_lp)
     C, V, P = st.C[src], st.V[src], st.P[src]
     lo, hi = (b[src] for b in st.pred_box)
-    at_open = np.searchsorted(open_, split)
-    P[pos], P[neg] = hi_pt[at_open], lo_pt[at_open]
-    cut, row = np.concatenate([pos, neg]), np.tile(at, 2)
-    lo[cut], hi[cut] = _cut_box(lo[cut], hi[cut], starts.A[cut, row], starts.d[cut, row],
-                                P[cut])
-    z = np.concatenate([first[code == 1], neg])
+    P[cut] = np.concatenate([hi_pt[at_open], lo_pt[at_open]])
+    lo[cut], hi[cut] = _cut_box(lo[cut], hi[cut], r, e, P[cut])
+    z = np.concatenate([first[code == 1], cut[split.size:]])
     C[z, i] = 0.0
     V[z, i, :] = 0.0
     return StarSet(C, V, P, starts, has, (lo, hi))
@@ -307,10 +353,11 @@ def reach_stars(net, box, star_cap=DEFAULT_STAR_CAP):
     if star_cap < 1:
         raise ValueError("star_cap must be >= 1")
     n = len(box)
-    starts = Starts.empty(1, 2 * n, n)
-    starts.A[0], starts.rows[0] = np.vstack([np.eye(n), -np.eye(n)]), 2 * n
+    # Phase 1 of [I; -I] a <= 1 is its slack basis, whose basic point is 0.
+    starts = phase_one_batch(np.vstack([np.eye(n), -np.eye(n)])[None], np.ones((1, 2 * n)),
+                             [2 * n])
     st = StarSet(box.center()[None], np.diag((box.upper - box.lower) / 2.0)[None],
-                 np.zeros((1, n)), starts, np.zeros(1, dtype=bool),
+                 np.zeros((1, n)), starts, np.ones(1, dtype=bool),
                  (-np.ones((1, n)), np.ones((1, n))))
     for k, lay in enumerate(net.layers):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -328,6 +375,30 @@ def reach_stars(net, box, star_cap=DEFAULT_STAR_CAP):
     return st
 
 
+def _lp_boxes(st, chosen, norm, target):
+    """Ordered (lower, upper) (len(chosen), dim) of the outputs of stars
+    chosen, solved by one lp_max_batch: for the euclidean norm both ends
+    of each output coordinate that is not constant, for the max norm only
+    the ends whose own closed-form magnitude can reach target. An end not
+    asked for reads 0.0."""
+    C, V = st.C[chosen], st.V[chosen]
+    live = np.flatnonzero((np.abs(V) > 0.0).any(axis=2))  # into C.ravel()
+    need = np.ones((live.size, 2), dtype=bool)
+    if norm == LINF:
+        need[:, 0] = ~(st.upper[chosen].ravel()[live] < target)
+        need[:, 1] = ~(-st.lower[chosen].ravel()[live] < target)
+    lower, upper = C.copy(), C.copy()
+    lo, hi, *_ = _lp_ranges(st, V.reshape(-1, V.shape[2])[live], C.ravel()[live],
+                            chosen[live // C.shape[1]], need)
+    # An end not asked for cannot hold the supremum. It reads 0.0, not the
+    # centre that _lp_ranges leaves there: that can lie outside the star.
+    lower.flat[live] = np.where(need[:, 1], lo, 0.0)
+    upper.flat[live] = np.where(need[:, 0], hi, 0.0)
+    # On a sliver star the two LPs can cross by rounding (~1e-17); the
+    # ordered pair still contains both answers.
+    return _ordered(lower, upper)
+
+
 def star_sup_norm(st, norm=LINF):
     """sup of ||y|| over the union of a StarSet's stars.
 
@@ -337,32 +408,24 @@ def star_sup_norm(st, norm=LINF):
 
     The largest norm at the stars' carried points, L, is a lower bound
     that needs no LP. Every star whose closed-form bound can reach L is
-    solved, all in one lp_max_batch, after phase 1 for the systems without
-    a start: for the euclidean norm both ends of each output coordinate
-    that is not constant, for the max norm only the ends whose own
-    closed-form magnitude can reach L. The star and end that attain the
-    supremum are among them and none exceeds it, so the result is that of
-    solving every star.
+    solved (_lp_boxes), all in one lp_max_batch from the starts that the
+    steps left. The star and end that attain the supremum are among them
+    and none exceeds it. From a warm start an LP can end a few ulp away
+    from where it ends from phase 1, so the stars whose norm comes within
+    DECIDE_TOL of the largest are solved once more from phase 1, in one
+    more lp_max_batch, and the largest of those is the result: the one of
+    solving every star from phase 1.
     """
     caps = batch_norms(np.maximum(np.abs(st.lower), np.abs(st.upper)), norm)
     at_points = st.C + np.matmul(st.V, st.P[:, :, None])[:, :, 0]
     L = batch_norms(at_points, norm).max()
     target = L - DECIDE_TOL * (1.0 + L)
-    # The negations keep a cap or bound that overflowed to NaN chosen.
+    # The negations keep a cap or norm that overflowed to NaN chosen.
     chosen = np.flatnonzero(~(caps < target))
-    C, V = st.C[chosen], st.V[chosen]
-    live = np.flatnonzero((np.abs(V) > 0.0).any(axis=2))  # into C.ravel()
-    need = np.ones((live.size, 2), dtype=bool)
-    if norm == LINF:
-        need[:, 0] = ~(st.upper[chosen].ravel()[live] < target)
-        need[:, 1] = ~(-st.lower[chosen].ravel()[live] < target)
-    lower, upper = C.copy(), C.copy()
-    lo, hi, _, _ = _lp_ranges(st, V.reshape(-1, V.shape[2])[live], C.ravel()[live],
-                              chosen[live // C.shape[1]], need)
-    # An end not asked for cannot hold the supremum. It reads 0.0, not the
-    # centre that _lp_ranges leaves there: that can lie outside the star.
-    lower.flat[live] = np.where(need[:, 1], lo, 0.0)
-    upper.flat[live] = np.where(need[:, 0], hi, 0.0)
-    # On a sliver star the two LPs can cross by rounding (~1e-17); the
-    # ordered pair still contains both answers.
-    return sup_norm_box(BoxBatch(*_ordered(lower, upper)), norm)
+    lower, upper = _lp_boxes(st, chosen, norm, target)
+    warm = batch_norms(np.maximum(np.abs(lower), np.abs(upper)), norm)
+    best = warm.max()
+    near = chosen[~(warm < best - DECIDE_TOL * (1.0 + best))]
+    fresh = st._unsolved(near)
+    return sup_norm_box(BoxBatch(*_lp_boxes(fresh, np.arange(near.size), norm, target)),
+                        norm)

@@ -5,8 +5,6 @@ one pass/fail line (shown in the terminal summary; run with -s to stream
 them live).
 """
 
-from time import perf_counter
-
 import numpy as np
 
 import conftest
@@ -245,23 +243,36 @@ def test_criterion_8_uncertain_phenomenon():
 
 
 def test_criterion_9_speedup_direction():
-    """Fine-grained direct verification costs at least 5x the compressed path."""
-    ratios = []
-    box = Box([-1.0, -1.0], [1.0, 1.0])
-    spec = LinearSpec([(np.array([[1.0]]), np.array([-1e9]))])
-    for i in range(5):
-        big = random_network([2, 50, 50, 50, 50, 50, 1], 0.3, seed=90_000 + i)
-        small = random_network([2, 10, 10, 1], 0.3, seed=91_000 + i)
-        report = verify_via_compressed(big, small, box, spec, method="split",
-                                       splits=2)
-        t0 = perf_counter()
-        large = verify(big, box, spec, method="split", splits=48)
-        time_large = perf_counter() - t0
-        assert report.verdict_small.status == SAFE
-        assert large.status == SAFE
-        ratios.append(time_large / report.time_small_seconds)
+    """Fine-grained direct verification costs at least 5x the compressed path.
+
+    The timing loop runs in a child process on one BLAS thread: with the
+    thread count left to the host, the same code read T_L/T_S as 85-163 in
+    some processes and 8-13 in others."""
+    script = (
+        "from time import perf_counter\n"
+        "import numpy as np\n"
+        "from nnbisim import Box, random_network, verify, verify_via_compressed\n"
+        "from nnbisim.safety import SAFE, LinearSpec\n"
+        "box = Box([-1.0, -1.0], [1.0, 1.0])\n"
+        "spec = LinearSpec([(np.array([[1.0]]), np.array([-1e9]))])\n"
+        "for i in range(5):\n"
+        "    big = random_network([2, 50, 50, 50, 50, 50, 1], 0.3, seed=90_000 + i)\n"
+        "    small = random_network([2, 10, 10, 1], 0.3, seed=91_000 + i)\n"
+        "    report = verify_via_compressed(big, small, box, spec, method='split',\n"
+        "                                   splits=2)\n"
+        "    t0 = perf_counter()\n"
+        "    large = verify(big, box, spec, method='split', splits=48)\n"
+        "    time_large = perf_counter() - t0\n"
+        "    assert report.verdict_small.status == SAFE\n"
+        "    assert large.status == SAFE\n"
+        "    print(time_large / report.time_small_seconds)\n")
+    res = conftest.run_one_blas_thread(script)
+    assert res.returncode == 0, res.stderr
+    ratios = [float(line) for line in res.stdout.split()]
+    assert len(ratios) == 5
     ok = all(r >= 5.0 for r in ratios)
-    _report(9, ok, "T_L/T_S per pair: " + ", ".join(f"{r:.1f}" for r in ratios))
+    _report(9, ok, "T_L/T_S per pair (one BLAS thread): "
+                   + ", ".join(f"{r:.1f}" for r in ratios))
 
 
 def test_criterion_10_format_round_trips():

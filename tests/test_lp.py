@@ -287,3 +287,49 @@ class TestBatchedSolver:
                 "pivot 5.000e-12" if systems[1] is tiny else "pivot 1.000e-12")
             assert stacked_outcomes(systems, lps) == want
             assert stacked_outcomes(systems, lps[::-1]) == self.expected(systems, lps[::-1])
+
+
+class TestKeptTableaus:
+    """A final tableau that lp_max_batch keeps is a start of its system
+    at the LP's optimum, and stays one when a row enters with its slack
+    basic."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(lp_stack(), st.integers(0, 2**32 - 1))
+    def test_kept_tableau_restarts_at_the_optimum(self, stack, seed):
+        systems, lps = stack
+        n = systems[0][0].shape[1]
+        M = max(len(d) for _, d in systems)
+        A = np.zeros((len(systems), M + 1, n))
+        d = np.ones((len(systems), M + 1))
+        for k, (Ak, dk) in enumerate(systems):
+            A[k, :len(dk)], d[k, :len(dk)] = Ak, dk
+        starts = phase_one_batch(A, d, [len(dk) for _, dk in systems])
+        c, which = np.array([c for _, c in lps]), np.array([k for k, _ in lps])
+        rng = np.random.default_rng(seed)
+        floor = rng.choice([-np.inf, 0.0, np.inf], len(lps))
+        try:
+            plain = lp_max_batch(c, starts, which)
+        except DegenerateLPError:
+            return
+        res = lp_max_batch(c, starts, which, floor)
+        assert plain.kept is None
+        assert np.array_equal(res.optimal, plain.optimal)
+        assert np.array_equal(res.value, plain.value, equal_nan=True)
+        assert np.array_equal(res.point, plain.point, equal_nan=True)
+        held = np.flatnonzero(res.kept >= 0)
+        assert np.array_equal(held, np.flatnonzero(plain.optimal & (plain.value > floor)))
+        # Each kept tableau as the start of its own system, grown by a row
+        # r . x <= r . point + slack.
+        grown = starts.take(which[held], M + 1, np.zeros(held.size, dtype=bool))
+        grown.store(np.arange(held.size), res.tableau, res.basis, res.kept[held])
+        r = rng.uniform(-1.0, 1.0, (held.size, n))
+        slack = rng.choice([0.0, 0.5], held.size)
+        e = np.einsum("ij,ij->i", r, res.point[held]) + slack
+        assert grown.add_row(np.arange(held.size), r, e, np.ones(held.size, dtype=bool)).all()
+        again = lp_max_batch(c[held], grown, np.arange(held.size))
+        for j, k in enumerate(held):
+            rows = grown.rows[j]
+            want = lp_max(c[k], grown.A[j, :rows], grown.d[j, :rows])
+            assert again.optimal[j] and want.optimal
+            assert again.value[j] == pytest.approx(want.value, rel=1e-9, abs=1e-9)
