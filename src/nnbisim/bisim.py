@@ -20,7 +20,7 @@ import numpy as np
 from .errors import NumericError, ShapeError
 from .interval import reach_box_split
 from .merge import _check_pair, merge
-from .network import _blocks, _workspace
+from .network import _blocks, _integer, _workspace
 from .norms import LINF, batch_norms, check_norm
 from .star import DEFAULT_STAR_CAP, reach_stars
 
@@ -56,14 +56,6 @@ class ErrorBound:
             raise ValueError("epsilon_lower exceeds epsilon_upper")
 
 
-def _integer(name, value):
-    """value as an int: Python and numpy integers pass; bools and floats,
-    which range and slicing would reject or truncate, are a ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value}")
-    return int(value)
-
-
 def reach(net, box, method, splits=None, star_cap=DEFAULT_STAR_CAP):
     """Outer bound of net's output set over box, by the named back-end.
 
@@ -73,13 +65,14 @@ def reach(net, box, method, splits=None, star_cap=DEFAULT_STAR_CAP):
                   `splits` cells per dimension
       "exact"     star-set reachability; exact
     Returns a BoxBatch for the first two and a StarSet for exact; label
-    names the back-end. A splits that is not an integer is a ValueError,
-    whatever the method.
+    names the back-end. A splits or star_cap that is not an integer is a
+    ValueError, whatever the method.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
     if splits is not None:
         splits = _integer("splits", splits)
+    star_cap = _integer("star_cap", star_cap)
     box.require_finite()
     if method == METHOD_EXACT:
         reached = reach_stars(net, box, star_cap=star_cap)
@@ -100,8 +93,9 @@ def bisim_error_upper(net_big, net_small, box, method=DEFAULT_METHOD,
     from reach on the merged network; exact in the max norm with the
     exact method."""
     check_norm(norm)
-    if splits is not None:  # reach checks it too, but only after the merge
+    if splits is not None:  # reach checks both too, but only after the merge
         _integer("splits", splits)
+    _integer("star_cap", star_cap)
     t0 = perf_counter()
     reached = reach(merge(net_big, net_small), box, method, splits, star_cap)
     eps = reached.sup_norm(norm)

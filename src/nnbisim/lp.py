@@ -13,7 +13,10 @@ constraint system and gives a start that every objective over the
 system can use. The final tableau of a solved LP is a start too, and a
 start stays one when a row is added with its slack basic, as long as the
 slack is not negative at the basic point (Starts.add_row): a system that
-grows one cut at a time needs phase 1 only once.
+grows one cut at a time needs phase 1 only once. Every member of a
+Starts holds a start; Starts.restart, the one place where phase 1 runs
+for a stored system, gives one to a member whose added row cut its start
+off.
 
 The solver works on stacks. phase_one_batch runs phase 1 for a stack of
 systems and returns their Starts; lp_max_batch runs phase 2 for a stack
@@ -108,8 +111,8 @@ class Starts:
     phase 1 or is the final tableau of an LP over the system, maybe grown
     by add_row; a redundant row that phase 1 dropped is a zero row whose
     basic slot is its own slack. error[k] names the numeric breakdown of
-    phase 1, or is None. A member without a start (as empty and take may
-    leave it) reads as infeasible until put or store gives it one.
+    phase 1, or is None. Every member holds a start, except inside take
+    until store or restart gives it one.
     """
 
     A: np.ndarray
@@ -120,24 +123,21 @@ class Starts:
     feasible: np.ndarray
     error: np.ndarray
 
-    @classmethod
-    def empty(cls, size, M, n):
-        """size empty members: no rows and no start."""
-        return cls(np.zeros((size, M, n)), np.ones((size, M)), np.zeros(size, dtype=np.intp),
-                   np.zeros((size, M, 2 * n + M + 1)),
-                   np.repeat((2 * n + np.arange(M))[None], size, axis=0),
-                   np.zeros(size, dtype=bool), np.full(size, None, dtype=object))
-
     def __len__(self):
         return len(self.rows)
 
     def take(self, idx, M, solved):
         """The systems idx as a new stack padded to M >= this stack's rows,
-        with the starts of the members where solved holds; the others are
-        empty starts, whose tableaus are never written."""
-        _, M0, n = self.A.shape
-        out = Starts.empty(len(idx), M, n)
-        out.A[:, :M0], out.d[:, :M0], out.rows[:] = self.A[idx], self.d[idx], self.rows[idx]
+        with the starts of the members where solved holds. The others read
+        as infeasible, with zero tableaus, until the caller gives them
+        starts by store or restart; that saves copying what store
+        overwrites."""
+        S, (_, M0, n) = len(idx), self.A.shape
+        A, d = np.zeros((S, M, n)), np.ones((S, M))
+        A[:, :M0], d[:, :M0] = self.A[idx], self.d[idx]
+        out = Starts(A, d, self.rows[idx], np.zeros((S, M, 2 * n + M + 1)),
+                     np.repeat((2 * n + np.arange(M))[None], S, axis=0),
+                     np.zeros(S, dtype=bool), np.full(S, None, dtype=object))
         keep = np.flatnonzero(solved)
         out.store(keep, self.tableau, self.basis, idx[keep])
         out.feasible[keep], out.error[keep] = self.feasible[idx[keep]], self.error[idx[keep]]
@@ -161,45 +161,43 @@ class Starts:
         self.basis[dst, :M0] = basis[src]
         self.feasible[dst], self.error[dst] = True, None
 
-    def put(self, idx, other):
-        """Store the stack other (with the same M) at idx."""
-        for f in _START_FIELDS:
-            getattr(self, f)[idx] = getattr(other, f)
-
-    def add_row(self, idx, r, e, solved):
+    def add_row(self, idx, r, e):
         """Append the row r[k] . x <= e[k] to system idx[k], which must
-        have a padding row left. Where solved[k] holds, the row also enters
-        the member's start with its slack basic: the row is written in the
-        basis by eliminating its basic columns, which leaves the new
-        slack's value, e - r . x at the basic point, on the right-hand side.
-        A slack in (-FEAS_TOL, 0) is rounding noise and reads 0, as in
-        _simplex. Returns where the start still holds: solved, and the
-        slack not below -FEAS_TOL. Members where it fails lose their start
-        (feasible False)."""
+        have a padding row left, and enter it in the member's start with
+        its slack basic: the row is written in the basis by eliminating its
+        basic columns, which leaves the new slack's value, e - r . x at the
+        basic point, on the right-hand side. A slack in (-FEAS_TOL, 0) is
+        rounding noise and reads 0, as in _simplex; members whose slack is
+        below -FEAS_TOL are restarted."""
         n = self.A.shape[2]
         at = self.rows[idx]
         self.A[idx, at], self.d[idx, at] = r, e
         self.rows[idx] += 1
-        ok = np.asarray(solved, dtype=bool).copy()
+        lost = np.zeros(idx.size, dtype=bool)
         for k in range(0, idx.size, _CHUNK):  # bounds the gathered tableaus
-            j = k + np.flatnonzero(ok[k:k + _CHUNK])
-            m, a, ar = idx[j], at[j], np.arange(j.size)
-            row = np.zeros((j.size, self.tableau.shape[2]))
+            j = slice(k, k + _CHUNK)
+            m, a = idx[j], at[j]
+            row = np.zeros((m.size, self.tableau.shape[2]))
             row[:, :n], row[:, n:2 * n], row[:, -1] = r[j], -r[j], e[j]
             # Row a is a padding row: its slack, the new row's, is basic
             # there and has no coefficient yet, so it is not eliminated.
             coef = np.take_along_axis(row, self.basis[m], axis=1)
             row -= np.matmul(coef[:, None, :], self.tableau[m])[:, 0]
-            row[ar, 2 * n + a] = 1.0
+            row[np.arange(m.size), 2 * n + a] = 1.0
             slack = row[:, -1]
             slack[(slack < 0.0) & (slack > -FEAS_TOL)] = 0.0
             self.tableau[m, a] = row
-            ok[j] = slack >= 0.0
-        self.feasible[idx[~ok]] = False
-        return ok
+            lost[j] = slack < 0.0
+        self.restart(idx[lost])
 
-
-_START_FIELDS = ("A", "d", "rows", "tableau", "basis", "feasible", "error")
+    def restart(self, idx):
+        """Give members idx the starts that phase 1 finds for their
+        systems, per _CHUNK systems, which bounds phase 1's stack."""
+        for k in range(0, idx.size, _CHUNK):
+            m = idx[k:k + _CHUNK]
+            new = phase_one_batch(self.A[m], self.d[m], self.rows[m])
+            self.tableau[m], self.basis[m] = new.tableau, new.basis
+            self.feasible[m], self.error[m] = new.feasible, new.error
 
 
 def _max_iter(m, n):

@@ -42,6 +42,14 @@ def _require_finite(a, what):
                      f"{at[0] if len(at) == 1 else at}")
 
 
+def _integer(name, value):
+    """value as an int: Python and numpy integers pass; bools and floats,
+    which range and slicing would reject or truncate, are a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    return int(value)
+
+
 def _freeze(a):
     a = np.array(a, dtype=float)
     a.flags.writeable = False

@@ -41,8 +41,9 @@ as its point and its final tableau as its start; the other child keeps
 its parent's point and start. Each child's cut row then enters its start
 with its slack basic (Starts.add_row): at the child's point that slack
 is the range end the split was made on, which is positive, so no phase 1
-runs. A child whose slack reads below -FEAS_TOL by rounding gets no start
-and gets one from phase 1 when its first LP runs. Stacked products go
+runs. A child whose slack reads below -FEAS_TOL by rounding loses its
+start and gets one from phase 1 at once (Starts.restart), whose basic
+point is then not the carried point. Stacked products go
 through np.matmul, whose per-star BLAS call is bit for bit the product
 of one star, so the stars are those of handling each star on its own.
 
@@ -74,7 +75,8 @@ import numpy as np
 
 from .errors import NumericError, ResourceLimitError, ShapeError
 from .interval import BoxBatch
-from .lp import _CHUNK, lp_feasible, lp_max_batch, phase_one_batch
+from .lp import lp_feasible, lp_max_batch, phase_one_batch
+from .network import _integer
 from .norms import LINF, batch_norms, sup_norm_box
 
 DEFAULT_STAR_CAP = 10**5
@@ -112,10 +114,10 @@ class StarSet(Sequence):
     feasible predicate point per star, never NaN), and starts, an
     lp.Starts of N members whose member k is star k's constraint system
     (A (N, M, p), d (N, M), rows (N,); rows past rows[k] read 0.a <= 1)
-    and, where has[k] holds, a start of it; one that reach_stars leaves
-    has its basic point at P[k]. pred_box is a
-    (lower, upper) pair of finite (N, p) arrays bounding each star's
-    predicate polytope.
+    and its start. A start that reach_stars leaves has its basic point at
+    P[k], unless phase 1 gave it to a child whose cut row cut off its
+    parent's. pred_box is a (lower, upper) pair of finite (N, p) arrays
+    bounding each star's predicate polytope.
 
     Indexing builds the i-th Star. lower and upper are the closed-form
     (N, dim) outer bounds, computed on first use. centers holds the input
@@ -125,10 +127,9 @@ class StarSet(Sequence):
     label = None  # the back-end that computed the set, set by bisim.reach
     centers = None  # set by reach_stars
 
-    def __init__(self, C, V, P, starts, has, pred_box):
+    def __init__(self, C, V, P, starts, pred_box):
         self.C, self.V, self.P = C, V, P
-        self.starts, self.has = starts, has
-        self.pred_box = pred_box
+        self.starts, self.pred_box = starts, pred_box
 
     def __len__(self):
         return len(self.C)
@@ -162,26 +163,11 @@ class StarSet(Sequence):
         return lp_feasible(np.vstack([s.A[i, :m], A @ self.V[i]]),
                            np.concatenate([s.d[i, :m], d - A @ self.C[i]]))
 
-    def _lp_max(self, objectives, systems, floor=None):
-        """lp_max_batch of each objectives[j] over the system of star
-        systems[j] (floor as there), after phase 1 for the systems without
-        a start, whose starts are then kept. Phase 1 runs and is stored
-        per _CHUNK systems, which bounds its stack and the copy into
-        starts."""
-        s = self.starts
-        missing = np.unique(systems[~self.has[systems]])
-        for k in range(0, missing.size, _CHUNK):
-            m = missing[k:k + _CHUNK]
-            s.put(m, phase_one_batch(s.A[m], s.d[m], s.rows[m]))
-        self.has[missing] = True
-        return lp_max_batch(objectives, s, systems, floor)
-
     def _unsolved(self, idx):
-        """The stars idx as a new StarSet without starts, whose LPs then
-        run from phase 1."""
-        none = np.zeros(len(idx), dtype=bool)
-        return StarSet(self.C[idx], self.V[idx], self.P[idx],
-                       self.starts.take(idx, self.starts.A.shape[1], none), none,
+        """The stars idx as a new StarSet whose starts come from phase 1."""
+        starts = self.starts.take(idx, self.starts.A.shape[1], np.zeros(len(idx), dtype=bool))
+        starts.restart(np.arange(len(idx)))
+        return StarSet(self.C[idx], self.V[idx], self.P[idx], starts,
                        tuple(b[idx] for b in self.pred_box))
 
 
@@ -217,8 +203,8 @@ def _lp_ranges(st, rows, off, systems, need, keep=False):
         sign = np.where(low, -1.0, 1.0)
         # off + sign * value has the sign of sign exactly where value >
         # -sign * off: rounding keeps a sum's sign and gives 0 only for 0.
-        res = st._lp_max(sign[:, None] * rows[who], systems[who],
-                         -sign * off[who] if keep else None)
+        res = lp_max_batch(sign[:, None] * rows[who], st.starts, systems[who],
+                           -sign * off[who] if keep else None)
         ext = np.where(res.optimal, off[who] + sign * res.value, sign * np.inf)
         upper[who[~low]], hi_pt[who[~low]] = ext[~low], res.point[~low]
         lower[who[low]], lo_pt[who[low]] = ext[low], res.point[low]
@@ -318,14 +304,14 @@ def _relu_step(st, i):
     # parent's point and start. Either way the start's basic point is the
     # child's point, where the child's cut row holds with slack |upper|
     # or |lower| > 0, so the row enters the start with its slack basic.
-    has = st.has[src]
-    has[cut[from_lp]] = False  # not the parent's start
+    inherit = np.ones(src.size, dtype=bool)
+    inherit[cut[from_lp]] = False
     starts = st.starts.take(src, max(st.starts.A.shape[1], st.starts.rows[split].max() + 1),
-                            has)
+                            inherit)
     starts.store(cut[from_lp], tableau, basis, lp_at[from_lp])
     r = np.concatenate([-rows_i[split], rows_i[split]])
     e = np.concatenate([off[split], -off[split]])
-    has[cut] = starts.add_row(cut, r, e, has[cut] | from_lp)
+    starts.add_row(cut, r, e)
     C, V, P = st.C[src], st.V[src], st.P[src]
     lo, hi = (b[src] for b in st.pred_box)
     P[cut] = np.concatenate([hi_pt[at_open], lo_pt[at_open]])
@@ -333,7 +319,7 @@ def _relu_step(st, i):
     z = np.concatenate([first[code == 1], cut[split.size:]])
     C[z, i] = 0.0
     V[z, i, :] = 0.0
-    return StarSet(C, V, P, starts, has, (lo, hi))
+    return StarSet(C, V, P, starts, (lo, hi))
 
 
 def reach_stars(net, box, star_cap=DEFAULT_STAR_CAP):
@@ -344,12 +330,14 @@ def reach_stars(net, box, star_cap=DEFAULT_STAR_CAP):
     predicate box [-1, 1]^n. A zero-width dimension keeps its zero basis
     column, so the star is flat along it. Raises ShapeError for a box of
     another length than the input width, ValueError for an infinite box
-    bound, and ResourceLimitError when the union would exceed star_cap;
-    the interval back-end is the fallback at that scale.
+    bound or a star_cap that is not an integer >= 1, and
+    ResourceLimitError when the union would exceed star_cap; the interval
+    back-end is the fallback at that scale.
     """
     if len(box) != net.input_dim:
         raise ShapeError(f"box length {len(box)} != input_dim {net.input_dim}")
     box.require_finite()
+    star_cap = _integer("star_cap", star_cap)
     if star_cap < 1:
         raise ValueError("star_cap must be >= 1")
     n = len(box)
@@ -357,8 +345,7 @@ def reach_stars(net, box, star_cap=DEFAULT_STAR_CAP):
     starts = phase_one_batch(np.vstack([np.eye(n), -np.eye(n)])[None], np.ones((1, 2 * n)),
                              [2 * n])
     st = StarSet(box.center()[None], np.diag((box.upper - box.lower) / 2.0)[None],
-                 np.zeros((1, n)), starts, np.ones(1, dtype=bool),
-                 (-np.ones((1, n)), np.ones((1, n))))
+                 np.zeros((1, n)), starts, (-np.ones((1, n)), np.ones((1, n))))
     for k, lay in enumerate(net.layers):
         with np.errstate(over="ignore", invalid="ignore"):
             st.C = np.matmul(lay.weights, st.C[:, :, None])[:, :, 0] + lay.bias

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 import nnbisim.bisim
 from nnbisim import (Box, LinearSpec, Layer, MergePreconditionError, Network,
                      NumericError, ShapeError, bisim_error_lower_mc,
-                     bisim_error_upper, random_network, verify)
-from nnbisim.bisim import ErrorBound
+                     ResourceLimitError, bisim_error_upper, random_network, reach,
+                     reach_stars, verify)
+from nnbisim.bisim import METHODS, ErrorBound
 from nnbisim.network import _BLOCK_ROWS, _blocks
 from nnbisim.norms import batch_norms
 from conftest import constant_net, random_pair, run_one_blas_thread, whole_batch
@@ -108,6 +109,32 @@ class TestUpperBound:
         want = bisim_error_upper(big, small, box, method="split", splits=3)
         assert got.epsilon_upper == want.epsilon_upper
         assert got.method == want.method == "interval-split(3)"
+
+    @pytest.mark.parametrize("star_cap", [float("nan"), 2.5, True, None, "x"])
+    def test_non_integer_star_cap_named_before_any_work(self, monkeypatch, star_cap):
+        # A NaN cap would never be exceeded and True would cap at 1.
+        def merge(*args):
+            raise AssertionError("merged before the check")
+
+        big, small, box = random_pair(18)
+        message = f"^{re.escape(f'star_cap must be an integer, got {star_cap}')}$"
+        for method in METHODS:
+            with pytest.raises(ValueError, match=message):
+                reach(big, box, method, star_cap=star_cap)
+        with pytest.raises(ValueError, match=message):
+            reach_stars(big, box, star_cap=star_cap)
+        monkeypatch.setattr(nnbisim.bisim, "merge", merge)
+        with pytest.raises(ValueError, match=message):
+            bisim_error_upper(big, small, box, method="exact", star_cap=star_cap)
+
+    def test_numpy_integer_star_cap_accepted(self):
+        big, small, box = random_pair(18)
+        got = bisim_error_upper(big, small, box, method="exact", star_cap=np.int64(10**5))
+        want = bisim_error_upper(big, small, box, method="exact")
+        assert got.epsilon_upper == want.epsilon_upper
+        with pytest.raises(ResourceLimitError, match="exceeds cap 1$"):
+            reach_stars(random_network([2, 4, 1], 1.0, seed=2), Box([-1.0, -1.0], [1.0, 1.0]),
+                        star_cap=np.int64(1))
 
 
 class TestLowerBound:

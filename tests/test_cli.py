@@ -3,11 +3,10 @@ import os
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 import nnbisim
-from nnbisim import NNetMeta, merge, random_network, write_json_net, write_nnet
+from nnbisim import merge, random_network, write_json_net
 from conftest import constant_net
 
 MINIMAL_NNET = """\

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nnbisim import formats
-from nnbisim import (Box, Layer, Network, NNetMeta, ParseError, ShapeError,
-                     merge, parse_json_net, parse_nnet, parse_problem,
-                     random_network, verify, write_json_net, write_nnet)
+from nnbisim import (Layer, Network, NNetMeta, ParseError, ShapeError, merge,
+                     parse_json_net, parse_nnet, parse_problem, random_network,
+                     verify, write_json_net, write_nnet)
 
 MINIMAL_NNET = """\
 // tiny test network

@@ -37,10 +37,8 @@ PAIRS = {
 
 def _star_digest(star):
     h = hashlib.sha256()
-    for a in (star.center, star.basis, star.constr_mat, star.constr_rhs):
+    for a in (star.center, star.basis, star.constr_mat, star.constr_rhs, star.point):
         h.update(np.ascontiguousarray(a).tobytes())
-    h.update(b"none" if star.point is None
-             else np.ascontiguousarray(star.point).tobytes())
     return h.hexdigest()
 
 

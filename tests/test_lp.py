@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from nnbisim import BoxBatch, DegenerateLPError, lp_feasible, lp_max
-from nnbisim.lp import (_START_FIELDS, INFEASIBLE, OPTIMAL, UNBOUNDED, lp_max_batch,
+from nnbisim.lp import (INFEASIBLE, OPTIMAL, UNBOUNDED, Starts, lp_max_batch,
                         phase_one_batch)
 
 
@@ -221,7 +223,8 @@ def stacked_outcomes(systems, lps):
     for k, (Ak, dk) in enumerate(systems):
         A[k, :len(dk)], d[k, :len(dk)] = Ak, dk
     starts = phase_one_batch(A, d, [len(dk) for _, dk in systems])
-    saved = [getattr(starts, f).copy() for f in _START_FIELDS]
+    fields = [f.name for f in dataclasses.fields(Starts)]
+    saved = [getattr(starts, f).copy() for f in fields]
     c, which = np.array([c for _, c in lps]), np.array([k for k, _ in lps])
     try:
         res = lp_max_batch(c, starts, which)
@@ -230,7 +233,7 @@ def stacked_outcomes(systems, lps):
     got = [as_data(res[j]) for j in range(len(lps))]
     back = lp_max_batch(c[::-1], starts, which[::-1])
     assert [as_data(back[j]) for j in range(len(lps))] == got[::-1]
-    for f, was in zip(_START_FIELDS, saved):
+    for f, was in zip(fields, saved):
         assert np.array_equal(getattr(starts, f), was), f
     return got
 
@@ -326,7 +329,13 @@ class TestKeptTableaus:
         r = rng.uniform(-1.0, 1.0, (held.size, n))
         slack = rng.choice([0.0, 0.5], held.size)
         e = np.einsum("ij,ij->i", r, res.point[held]) + slack
-        assert grown.add_row(np.arange(held.size), r, e, np.ones(held.size, dtype=bool)).all()
+        grown.add_row(np.arange(held.size), r, e)
+        # The start held: the new row's slack is basic at its own row and
+        # reads the slack at the optimum, so no phase 1 replaced it.
+        at, ar = grown.rows - 1, np.arange(held.size)
+        assert grown.feasible.all()
+        assert np.array_equal(grown.basis[ar, at], 2 * n + at)
+        assert grown.tableau[ar, at, -1] == pytest.approx(slack, rel=1e-9, abs=1e-9)
         again = lp_max_batch(c[held], grown, np.arange(held.size))
         for j, k in enumerate(held):
             rows = grown.rows[j]

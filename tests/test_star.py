@@ -224,8 +224,9 @@ class TestSupNorm:
         real_lp, real_phase_one = nnbisim.star.lp_max_batch, nnbisim.star.phase_one_batch
         monkeypatch.setattr(nnbisim.star, "lp_max_batch",
                             lambda *a: lp_calls.append(1) or real_lp(*a))
-        monkeypatch.setattr(nnbisim.star, "phase_one_batch",
-                            lambda *a: phase_one_calls.append(1) or real_phase_one(*a))
+        for module in (nnbisim.star, nnbisim.lp):
+            monkeypatch.setattr(module, "phase_one_batch",
+                                lambda *a: phase_one_calls.append(1) or real_phase_one(*a))
         assert star_sup_norm(stars, norm) == want
         # One batch from the stars' own starts, one from phase 1 for the
         # stars that come near the supremum.
@@ -264,7 +265,7 @@ class TestStartsAlignedWithStars:
         net, box = data.draw(net_and_box())
         stars = reach_stars(net, box)
         s = stars.starts
-        assert len(s) == len(stars) and stars.has.all() and s.feasible.all()
+        assert len(s) == len(stars) and s.feasible.all()
         assert np.all(s.tableau[:, :, -1] >= 0.0)
         for k, star in enumerate(stars):
             assert np.array_equal(basic_point(s, k), star.point)
@@ -276,7 +277,7 @@ class TestStartsAlignedWithStars:
         stars = reach_stars(net, box)
         # Splits added cut rows to the 4 rows of the input star, so the
         # starts taken before a split were padded when the stack grew.
-        assert stars.starts.A.shape[1] > 4 and stars.has.all()
+        assert stars.starts.A.shape[1] > 4 and stars.starts.feasible.all()
         self.check_starts(stars, seed=0)
         tableau = stars.starts.tableau.copy()
         star_sup_norm(stars, "inf")  # re-solves from phase 1 on its own copy
@@ -284,17 +285,15 @@ class TestStartsAlignedWithStars:
         self.check_starts(stars, seed=1)
 
     def test_stacked_stars(self):
-        # _lp_max on half of a set without starts solves and keeps the
-        # phase-1 starts of that half only, and its LPs are lp_max's.
+        # LPs on half of a set whose starts come from phase 1 are lp_max's.
         net = random_network([2, 6, 6, 2], 1.0, seed=1)
         reached = reach_stars(net, Box([-1.0, -1.0], [1.0, 1.0]))
         stars = reached._unsolved(np.arange(len(reached)))
-        assert not stars.has.any()
+        assert stars.starts.feasible.all()
         half = np.arange(0, len(stars), 2)
         rng = np.random.default_rng(2)
         c = rng.uniform(-1.0, 1.0, (half.size, 2))
-        got = stars._lp_max(c, half)
-        assert np.array_equal(stars.has, np.isin(np.arange(len(stars)), half))
+        got = lp_max_batch(c, stars.starts, half)
         for j, k in enumerate(half):
             want = lp_max(c[j], stars[k].constr_mat, stars[k].constr_rhs)
             assert float(got.value[j]).hex() == float(want.value).hex()
@@ -303,12 +302,13 @@ class TestStartsAlignedWithStars:
     def test_phase_one_only_for_the_input_star(self, monkeypatch):
         runs = []
         real = nnbisim.star.phase_one_batch
-        monkeypatch.setattr(nnbisim.star, "phase_one_batch",
-                            lambda A, d, rows: runs.append(np.array(A)) or real(A, d, rows))
+        for module in (nnbisim.star, nnbisim.lp):
+            monkeypatch.setattr(module, "phase_one_batch",
+                                lambda A, d, rows: runs.append(np.array(A)) or real(A, d, rows))
         net = random_network([2, 6, 6, 2], 1.0, seed=1)
         stars = reach_stars(net, Box([-1.0, -1.0], [1.0, 1.0]))
         # Every split child starts from a tableau its parent had.
-        assert len(stars) > 10 and stars.has.all()
+        assert len(stars) > 10 and stars.starts.feasible.all()
         assert len(runs) == 1
         assert np.array_equal(runs[0], np.vstack([np.eye(2), -np.eye(2)])[None])
 
@@ -318,22 +318,24 @@ class TestStartsAlignedWithStars:
         reached = reach_stars(Network(2, [Layer.linear(np.eye(2), np.zeros(2))]),
                               Box([-1.0, -1.0], [1.0, 1.0]))
         src = np.zeros(3, dtype=np.intp)
-        starts = reached.starts.take(src, 5, reached.has[src])
+        starts = reached.starts.take(src, 5, np.ones(3, dtype=bool))
         rows = np.tile([1.0, 0.0], (3, 1))
         e = np.array([-0.5, -0.1 * FEAS_TOL, 0.5])
-        held = starts.add_row(np.arange(3), rows, e, np.ones(3, dtype=bool))
-        # Below -FEAS_TOL the start is lost; above, rounding noise reads 0.
-        assert held.tolist() == [False, True, True]
+        runs = []
+        real = nnbisim.lp.phase_one_batch
+        for module in (nnbisim.star, nnbisim.lp):
+            monkeypatch.setattr(module, "phase_one_batch",
+                                lambda A, d, rows: runs.extend(rows) or real(A, d, rows))
+        starts.add_row(np.arange(3), rows, e)
+        # Below -FEAS_TOL the start is lost and phase 1 gives the member a
+        # new one at once; above, rounding noise reads 0.
+        assert runs == [5] and starts.feasible.all()
         assert starts.tableau[1, 4, -1] == 0.0 and starts.tableau[2, 4, -1] == 0.5
         children = StarSet(reached.C[src], reached.V[src],
-                           np.array([[-0.75, 0.0], [0.0, 0.0], [0.0, 0.0]]), starts, held,
+                           np.array([[-0.75, 0.0], [0.0, 0.0], [0.0, 0.0]]), starts,
                            tuple(b[src] for b in reached.pred_box))
-        runs = []
-        real = nnbisim.star.phase_one_batch
-        monkeypatch.setattr(nnbisim.star, "phase_one_batch",
-                            lambda A, d, rows: runs.extend(rows) or real(A, d, rows))
-        got = children._lp_max(np.tile([1.0, 1.0], (3, 1)), np.arange(3))
-        assert runs == [5] and children.has.all()
+        got = lp_max_batch(np.tile([1.0, 1.0], (3, 1)), starts, np.arange(3))
+        assert runs == [5]
         want = [lp_max([1.0, 1.0], s.constr_mat, s.constr_rhs).value for s in children]
         assert got.optimal.all()
         assert got.value == pytest.approx(want, abs=FEAS_TOL)
@@ -510,7 +512,8 @@ class TestPrunedMatchesReference:
             return real_phase_one(A, d, rows)
 
         monkeypatch.setattr(nnbisim.star, "lp_max_batch", counted_lp)
-        monkeypatch.setattr(nnbisim.star, "phase_one_batch", counted_phase_one)
+        for module in (nnbisim.star, nnbisim.lp):
+            monkeypatch.setattr(module, "phase_one_batch", counted_phase_one)
         bound = bisim_error_upper(big, small, box, method="exact")
         # 290 LPs on 165 systems. Each star's own predicate box, tightened
         # by its cuts, settles most ReLU decisions in closed form, and the
